@@ -12,9 +12,11 @@ Two workloads, mirroring the PR's two hot paths:
   allocation messages/bytes per workflow and the end-to-end wall-clock of
   the 2nd..Nth submissions.
 * **adhoc_maintenance** — an adhoc-scaling trial (multi-hop 802.11g,
-  random-waypoint mobility) run with event-driven snapshot advances
-  (``incremental_grid=True``, the default) vs. the per-tick full rebuild,
-  reporting wall-clock and how many O(n) rebuilds each mode paid.
+  random-waypoint mobility) run on the production network, which advances
+  its snapshot event by event, vs. the reference network
+  (:class:`~tests.oracles.adhoc.ReferenceAdHocNetwork`), which evaluates
+  every position at each query; reports wall-clock, and how many O(n) grid
+  rebuilds production paid.
 
 Everything here is ``slow``-marked; run with::
 
@@ -46,6 +48,7 @@ from repro.mobility.geometry import square_site
 from repro.mobility.models import RandomWaypointMobility
 from repro.sim.randomness import derive_rng, derive_seed
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+from tests.oracles.adhoc import ReferenceAdHocNetwork, reference_network_factory
 
 pytestmark = pytest.mark.slow
 
@@ -209,7 +212,7 @@ def test_batched_auction_collapses_message_count(num_hosts):
 
 
 # ---------------------------------------------------------------------------
-# Workload 2: event-driven link maintenance vs per-tick rebuild
+# Workload 2: event-driven link maintenance vs the reference network
 # ---------------------------------------------------------------------------
 
 
@@ -228,13 +231,12 @@ def mixed_mobility(index: int):
     return site.random_point(rng)
 
 
-def run_maintenance_trial(incremental_grid: bool) -> dict:
+def run_maintenance_trial(reference: bool) -> dict:
     """One adhoc-scaling trial (mobile multi-hop community), timed.
 
     The community, workload, mobility trajectories, and specification are
-    identical across the two modes; only the snapshot maintenance strategy
-    differs, so simulated time must agree exactly and the counters show
-    how much O(n) rebuild work each mode paid.
+    identical on both networks; only how geometry is maintained differs, so
+    simulated time must agree exactly.
     """
 
     workload = RandomSupergraphWorkload(seed=BENCH_SEED).generate(NUM_FRAGMENTS)
@@ -242,13 +244,12 @@ def run_maintenance_trial(incremental_grid: bool) -> dict:
     specification = workload.path_specification(4, spec_rng)
     assert specification is not None
 
+    factory = reference_network_factory if reference else adhoc_network_factory
     community = build_trial_community(
         workload,
         SCALING_HOSTS,
         seed=BENCH_SEED,
-        network_factory=adhoc_network_factory(
-            BENCH_SEED, multi_hop=True, incremental_grid=incremental_grid
-        ),
+        network_factory=factory(BENCH_SEED, multi_hop=True),
         mobility_factory=mixed_mobility,
     )
     started = time.perf_counter()
@@ -257,46 +258,51 @@ def run_maintenance_trial(incremental_grid: bool) -> dict:
     elapsed = time.perf_counter() - started
     network = community.network
     sim_timing = workspace.time_to_allocation()
-    return {
+    result = {
         "trial_seconds": elapsed,
         "hosts": SCALING_HOSTS,
         "phase": workspace.phase.value,
         "sim_seconds": sim_timing[0] if sim_timing else 0.0,
-        "snapshots": network.snapshots_built,
-        "grid_rebuilds": network.grid_rebuilds,
-        "hosts_reevaluated": network.hosts_reevaluated,
     }
+    if not reference:
+        result.update(
+            snapshots=network.snapshots_built,
+            grid_rebuilds=network.grid_rebuilds,
+            hosts_reevaluated=network.hosts_reevaluated,
+        )
+    return result
 
 
 def test_event_driven_maintenance_beats_full_rebuild():
     incremental = min(
-        (run_maintenance_trial(True) for _ in range(ROUNDS)),
-        key=lambda r: r["trial_seconds"],
-    )
-    rebuild = min(
         (run_maintenance_trial(False) for _ in range(ROUNDS)),
         key=lambda r: r["trial_seconds"],
     )
+    reference = min(
+        (run_maintenance_trial(True) for _ in range(ROUNDS)),
+        key=lambda r: r["trial_seconds"],
+    )
     speedup = (
-        rebuild["trial_seconds"] / incremental["trial_seconds"]
+        reference["trial_seconds"] / incremental["trial_seconds"]
         if incremental["trial_seconds"] > 0
         else float("inf")
     )
     _RESULTS["adhoc_maintenance"] = {
         str(SCALING_HOSTS): {
             "incremental": incremental,
-            "rebuild": rebuild,
+            "reference": reference,
             "speedup": speedup,
         }
     }
-    # Identical simulation either way; the incremental path pays (almost) no
-    # O(n) rebuilds while the reference path rebuilds every tick.
-    assert incremental["phase"] == rebuild["phase"]
-    assert incremental["sim_seconds"] == rebuild["sim_seconds"]
-    assert incremental["grid_rebuilds"] < rebuild["grid_rebuilds"]
+    # Identical simulation on both networks; the production network builds
+    # its grid once and only advances it afterwards.
+    assert incremental["phase"] == reference["phase"]
+    assert incremental["sim_seconds"] == reference["sim_seconds"]
+    assert incremental["grid_rebuilds"] <= 1
+    assert incremental["snapshots"] > incremental["grid_rebuilds"]
 
 
-def run_tick_sweep(incremental_grid: bool) -> dict:
+def run_tick_sweep(reference: bool) -> dict:
     """The maintenance cost in isolation: many ticks, few geometry queries.
 
     A mostly-at-rest multi-hop community, the clock advanced 50 ms at a
@@ -304,10 +310,10 @@ def run_tick_sweep(incremental_grid: bool) -> dict:
     produces (consecutive instants are message latencies apart, so links
     rarely change between neighbouring ticks); each tick asks for a
     handful of neighbour sets, link epochs, and one connectivity verdict —
-    the query mix route revalidation generates.  The rebuild path pays
-    O(n) position evaluations plus a fresh component sweep per tick
-    regardless; the event-driven path pays O(moved hosts) and keeps its
-    memos across the (common) no-link-change ticks.
+    the query mix route revalidation generates.  The reference network pays
+    O(n) position evaluations per query and an O(n²) search per
+    connectivity verdict; the event-driven path pays O(moved hosts) and
+    keeps its memos across the (common) no-link-change ticks.
     """
 
     from repro.net.adhoc import AdHocWirelessNetwork
@@ -315,12 +321,8 @@ def run_tick_sweep(incremental_grid: bool) -> dict:
 
     ticks = 60 if FAST else 400
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler,
-        radio_range=150.0,
-        multi_hop=True,
-        incremental_grid=incremental_grid,
-    )
+    network_class = ReferenceAdHocNetwork if reference else AdHocWirelessNetwork
+    network = network_class(scheduler, radio_range=150.0, multi_hop=True)
     hosts = [f"host-{index}" for index in range(SCALING_HOSTS)]
     for index, host in enumerate(hosts):
         network.register(host, lambda m: None)
@@ -334,34 +336,34 @@ def run_tick_sweep(incremental_grid: bool) -> dict:
             network.link_epoch(probe)
         network.is_connected()
     elapsed = time.perf_counter() - started
-    return {
-        "tick_seconds": elapsed,
-        "ticks": ticks,
-        "hosts": SCALING_HOSTS,
-        "grid_rebuilds": network.grid_rebuilds,
-        "hosts_reevaluated": network.hosts_reevaluated,
-        "hosts_moved": network.hosts_moved,
-    }
+    result = {"tick_seconds": elapsed, "ticks": ticks, "hosts": SCALING_HOSTS}
+    if not reference:
+        result.update(
+            grid_rebuilds=network.grid_rebuilds,
+            hosts_reevaluated=network.hosts_reevaluated,
+            hosts_moved=network.hosts_moved,
+        )
+    return result
 
 
 def test_tick_sweep_is_cheaper_event_driven():
     incremental = min(
-        (run_tick_sweep(True) for _ in range(ROUNDS)),
-        key=lambda r: r["tick_seconds"],
-    )
-    rebuild = min(
         (run_tick_sweep(False) for _ in range(ROUNDS)),
         key=lambda r: r["tick_seconds"],
     )
+    reference = min(
+        (run_tick_sweep(True) for _ in range(ROUNDS)),
+        key=lambda r: r["tick_seconds"],
+    )
     speedup = (
-        rebuild["tick_seconds"] / incremental["tick_seconds"]
+        reference["tick_seconds"] / incremental["tick_seconds"]
         if incremental["tick_seconds"] > 0
         else float("inf")
     )
     _RESULTS["tick_maintenance"] = {
         str(SCALING_HOSTS): {
             "incremental": incremental,
-            "rebuild": rebuild,
+            "reference": reference,
             "speedup": speedup,
         }
     }

@@ -5,10 +5,12 @@ workload of 50/100/200 fragments partitioned across a small community, the
 same guaranteed-satisfiable specification submitted several times at the
 same initiator.  Two configurations run the identical protocol:
 
-* **shared** — the default knowledge plane: one supergraph per host,
-  delta queries, synced remotes skipped, one batched merge per response;
-* **isolated** — ``share_supergraph=False``: every workspace builds its own
-  graph and re-collects the community's knowledge (the pre-PR-3 behaviour).
+* **shared** — the knowledge plane: one supergraph per host, delta
+  queries, synced remotes skipped, one batched merge per response;
+* **isolated** — the reference: every submission runs on a freshly built
+  community (:func:`tests.oracles.discovery.fresh_community_workspace`), so
+  its workspace builds its own graph and re-collects the community's
+  knowledge.
 
 For each fragment count the benchmark reports the wall-clock time of the
 2nd..Nth submissions (submission → constructed, the discovery+construction
@@ -34,6 +36,7 @@ from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+from tests.oracles.discovery import fresh_community_workspace
 
 pytestmark = pytest.mark.slow
 
@@ -76,19 +79,16 @@ def bench_report():
 
 
 def run_repeated_submissions(num_fragments: int, share_supergraph: bool) -> dict:
-    """Submit the same spec ``REPEATS`` times; measure the 2nd..Nth runs."""
+    """Submit the same spec ``REPEATS`` times; measure the 2nd..Nth runs.
+
+    Without ``share_supergraph`` each submission runs on a fresh community.
+    """
 
     workload = RandomSupergraphWorkload(seed=BENCH_SEED).generate(num_fragments)
-    community = build_trial_community(
-        workload,
-        num_hosts=NUM_HOSTS,
-        seed=BENCH_SEED,
-        share_supergraph=share_supergraph,
-    )
+    community = build_trial_community(workload, num_hosts=NUM_HOSTS, seed=BENCH_SEED)
     rng = derive_rng(BENCH_SEED, "bench-spec", num_fragments)
     specification = workload.path_specification(PATH_LENGTH, rng)
     assert specification is not None
-    stats = community.network.statistics
 
     construction_wall = 0.0
     allocation_wall = 0.0
@@ -96,10 +96,18 @@ def run_repeated_submissions(num_fragments: int, share_supergraph: bool) -> dict
     fragment_bytes = 0
     nodes_recolored = 0
     for attempt in range(REPEATS):
-        messages_before = stats.kind_count("FragmentQuery", "FragmentResponse")
-        bytes_before = stats.kind_bytes("FragmentQuery", "FragmentResponse")
-        workspace = community.submit_specification("host-0", specification)
-        community.run_until_allocated(workspace)
+        if share_supergraph:
+            stats = community.network.statistics
+            messages_before = stats.kind_count("FragmentQuery", "FragmentResponse")
+            bytes_before = stats.kind_bytes("FragmentQuery", "FragmentResponse")
+            workspace = community.submit_specification("host-0", specification)
+            community.run_until_allocated(workspace)
+        else:
+            fresh, workspace = fresh_community_workspace(
+                workload, NUM_HOSTS, BENCH_SEED, specification
+            )
+            stats = fresh.network.statistics
+            messages_before = bytes_before = 0
         assert workspace.phase in (WorkflowPhase.EXECUTING, WorkflowPhase.COMPLETED)
         if attempt == 0:
             continue  # cold start: both configurations must collect everything

@@ -3,17 +3,19 @@
 Measures, at 50/200/500 hosts scattered over a density-preserving site:
 
 * full neighbour-set sweeps per simulated tick — grid snapshot vs. the
-  brute-force O(n) scans (``use_spatial_index=False``);
-* community connectivity probes — one components pass vs. the original
-  all-pairs reachability loop;
+  brute-force O(n) scans of the reference network
+  (:class:`~tests.oracles.adhoc.ReferenceAdHocNetwork`);
+* community connectivity probes — one components pass vs. the reference
+  network's breadth-first search;
 * route churn under mobility — link-epoch revalidation vs. flushing the
   route cache on every movement tick;
 * a fig4-style sweep through the parallel ``TrialRunner`` vs. sequential
   execution (skipped below 4 cores);
 * the vectorized geometry kernels at fleet scale (1000 and 5000 hosts) —
   batched snapshot advance and whole-population neighbour sweeps vs. the
-  scalar per-host loops (``vectorized=False``), plus a 1000-host mobile
-  end-to-end trial on the auto-resolved flags.
+  scalar per-host loops (the network built with NumPy hidden from
+  :mod:`repro.net.kernels`), plus a 1000-host mobile end-to-end trial on
+  whichever path the platform provides.
 
 Everything here is ``slow``-marked; run with::
 
@@ -43,9 +45,11 @@ import pytest
 from repro.experiments.runner import TrialRunner, sweep_tasks
 from repro.mobility.geometry import square_site
 from repro.mobility.models import RandomWaypointMobility
+from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.sim.events import EventScheduler
 from repro.sim.randomness import derive_rng, derive_seed
+from tests.oracles.adhoc import ReferenceAdHocNetwork
 
 pytestmark = pytest.mark.slow
 
@@ -103,17 +107,18 @@ def bench_report():
 
 def build_network(
     num_hosts: int,
-    use_spatial_index: bool,
     mobile: bool = False,
-    vectorized: bool | None = None,
+    network_class=AdHocWirelessNetwork,
+    scalar: bool = False,
 ) -> tuple[AdHocWirelessNetwork, EventScheduler]:
+    """``scalar=True`` builds the network with NumPy hidden, as on a
+    platform without it, so it runs the scalar per-host loops."""
+
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler,
-        radio_range=RADIO_RANGE,
-        use_spatial_index=use_spatial_index,
-        vectorized=vectorized,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            patch.setattr(kernels, "np", None)
+        network = network_class(scheduler, radio_range=RADIO_RANGE)
     site = square_site(SITE_SPACING * math.sqrt(num_hosts))
     for index in range(num_hosts):
         host = f"h{index}"
@@ -145,20 +150,22 @@ def timed_neighbour_sweeps(network, scheduler, rounds: int) -> float:
 @pytest.mark.parametrize("num_hosts", (50, 200, 500))
 def test_neighbour_query_speedup(num_hosts):
     rounds = 5
-    brute, brute_scheduler = build_network(num_hosts, use_spatial_index=False)
-    grid, grid_scheduler = build_network(num_hosts, use_spatial_index=True)
-    brute_seconds = timed_neighbour_sweeps(brute, brute_scheduler, rounds)
+    reference, reference_scheduler = build_network(
+        num_hosts, network_class=ReferenceAdHocNetwork
+    )
+    grid, grid_scheduler = build_network(num_hosts)
+    reference_seconds = timed_neighbour_sweeps(reference, reference_scheduler, rounds)
     grid_seconds = timed_neighbour_sweeps(grid, grid_scheduler, rounds)
-    speedup = brute_seconds / grid_seconds
+    speedup = reference_seconds / grid_seconds
     _RESULTS.setdefault("neighbour_query", {})[str(num_hosts)] = {
         "rounds": rounds,
-        "brute_seconds": brute_seconds,
+        "reference_seconds": reference_seconds,
         "grid_seconds": grid_seconds,
         "speedup": speedup,
     }
     if num_hosts >= 200:
         assert speedup >= 5.0, (
-            f"grid neighbour queries only {speedup:.1f}x faster than brute force "
+            f"grid neighbour queries only {speedup:.1f}x faster than the reference "
             f"at {num_hosts} hosts"
         )
 
@@ -167,17 +174,20 @@ def test_neighbour_query_speedup(num_hosts):
 def test_connectivity_probe_speedup(num_hosts):
     rounds = 3
     timings = {}
-    for label, use_spatial_index in (("brute", False), ("grid", True)):
-        network, scheduler = build_network(num_hosts, use_spatial_index=use_spatial_index)
+    for label, network_class in (
+        ("reference", ReferenceAdHocNetwork),
+        ("grid", AdHocWirelessNetwork),
+    ):
+        network, scheduler = build_network(num_hosts, network_class=network_class)
         started = time.perf_counter()
         for _ in range(rounds):
             scheduler.clock.advance(1.0)
             network.is_connected()
         timings[label] = time.perf_counter() - started
-    speedup = timings["brute"] / timings["grid"]
+    speedup = timings["reference"] / timings["grid"]
     _RESULTS.setdefault("connectivity", {})[str(num_hosts)] = {
         "rounds": rounds,
-        "brute_seconds": timings["brute"],
+        "reference_seconds": timings["reference"],
         "grid_seconds": timings["grid"],
         "speedup": speedup,
     }
@@ -192,7 +202,7 @@ def test_route_churn_under_mobility(num_hosts):
     ticks, pairs_per_tick = 20, 50
 
     def churn(flush_each_tick: bool) -> tuple[float, int]:
-        network, scheduler = build_network(num_hosts, use_spatial_index=True, mobile=True)
+        network, scheduler = build_network(num_hosts, mobile=True)
         pair_rng = derive_rng(BENCH_SEED, "pairs", num_hosts)
         hosts = sorted(network.host_ids)
         pairs = [
@@ -271,8 +281,6 @@ VECTOR_POPULATIONS = (1000,) if FAST else (1000, 5000)
 
 
 def _needs_numpy():
-    from repro.net import kernels
-
     if not kernels.numpy_available():
         pytest.skip("vectorized kernels need NumPy")
 
@@ -309,10 +317,9 @@ def test_vectorized_snapshot_advance_speedup(num_hosts):
     _needs_numpy()
     ticks = 5 if FAST else 30
     timings = {}
-    for label, vectorized in (("scalar", False), ("vectorized", True)):
-        network, scheduler = build_network(
-            num_hosts, use_spatial_index=True, mobile=True, vectorized=vectorized
-        )
+    for label, scalar in (("scalar", True), ("vectorized", False)):
+        network, scheduler = build_network(num_hosts, mobile=True, scalar=scalar)
+        assert network.vectorized is not scalar
         network.neighbours_of("h0")  # build the initial snapshot off the clock
         timed_snapshot_advance(network, scheduler, 1)  # warm-up tick
         timings[label] = timed_snapshot_advance(network, scheduler, ticks)
@@ -342,7 +349,6 @@ def test_vectorized_neighbour_sweep_speedup(num_hosts):
     """
 
     _needs_numpy()
-    from repro.net import kernels
     from repro.net.spatial import SpatialGridIndex, padded_cell_size
 
     rounds = 2 if FAST else 3
@@ -398,14 +404,13 @@ def test_thousand_host_mobile_trial():
     The fleet walks for 30 simulated seconds while the trial probes
     connectivity and routes between random pairs every tick — the full
     snapshot-advance → component-labels → route pipeline at a scale the
-    scalar loops cannot sustain inside a CI budget.  ``vectorized=None``
-    resolves to the kernels when NumPy is present and to the scalar paths
-    otherwise, so the trial also documents that the flag surface degrades
-    gracefully.
+    scalar loops cannot sustain inside a CI budget.  The network runs the
+    kernels when NumPy is present and the scalar paths otherwise, so the
+    trial also documents that the platform choice degrades gracefully.
     """
 
     num_hosts, ticks, pairs_per_tick = 1000, 10 if FAST else 30, 20
-    network, scheduler = build_network(num_hosts, use_spatial_index=True, mobile=True)
+    network, scheduler = build_network(num_hosts, mobile=True)
     pair_rng = derive_rng(BENCH_SEED, "trial-pairs", num_hosts)
     hosts = sorted(network.host_ids)
     routes = 0

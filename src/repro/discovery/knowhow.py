@@ -21,9 +21,9 @@ everything up to version ``v`` receives only fragments ingested after
 ``v``.  Repeat workflows on a host that stays in sync with the community
 therefore cost O(new knowledge), not O(community knowledge).
 
-Queries are answered from the inverted index by default; construct the
-manager with ``use_index=False`` to answer by the original linear scan
-(kept as the reference implementation for the equivalence property tests).
+Queries are answered from the inverted index.  The equivalence property
+suite checks every answer against a one-pass linear scan over the stored
+fragments (``tests/oracles/discovery.py``).
 """
 
 from __future__ import annotations
@@ -53,11 +53,9 @@ class FragmentManager:
         self,
         host_id: str,
         fragments: Iterable[WorkflowFragment] = (),
-        use_index: bool = True,
         durability=None,
     ) -> None:
         self.host_id = host_id
-        self.use_index = use_index
         self.durability = durability
         self.epoch = next(_epoch_counter)
         if durability is not None:
@@ -131,11 +129,6 @@ class FragmentManager:
 
         if query.since_epoch >= 0 and query.since_epoch != self.epoch:
             query = replace(query, since_version=0, since_epoch=-1)
-        if self.use_index:
-            return self._matching_indexed(query)
-        return self._matching_linear(query)
-
-    def _matching_indexed(self, query: FragmentQuery) -> list[WorkflowFragment]:
         knowledge = self._knowledge
         if query.want_all:
             candidates = knowledge.fragments_since(query.since_version)
@@ -165,25 +158,6 @@ class FragmentManager:
             for fragment in candidates
             if fragment.fragment_id not in query.exclude_fragment_ids
         ]
-
-    def _matching_linear(self, query: FragmentQuery) -> list[WorkflowFragment]:
-        """Reference implementation: one pass over every stored fragment."""
-
-        knowledge = self._knowledge
-        matches: list[WorkflowFragment] = []
-        for fragment in knowledge:
-            if fragment.fragment_id in query.exclude_fragment_ids:
-                continue
-            if knowledge.sequence_of(fragment.fragment_id) <= query.since_version:
-                continue
-            if not query.want_all:
-                relevant = any(
-                    fragment.consumes_label(label) for label in query.consuming
-                ) or any(fragment.produces_label(label) for label in query.producing)
-                if not relevant:
-                    continue
-            matches.append(fragment)
-        return matches
 
     def handle_query(self, query: FragmentQuery) -> FragmentResponse:
         """Build the wire response for an incoming know-how query.

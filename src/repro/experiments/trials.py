@@ -126,22 +126,13 @@ def adhoc_network_factory(
     radio_range: float = 150.0,
     jitter: float = 0.0005,
     multi_hop: bool = False,
-    incremental_grid: bool = True,
-    predictive_links: bool = True,
-    vectorized: bool | None = None,
 ) -> Callable[[EventScheduler], CommunicationsLayer]:
     """An 802.11g-like ad hoc wireless network.
 
     The default (``multi_hop=False``) matches the paper's Figure 6 setup of
     a few laptops in mutual radio range; pass ``multi_hop=True`` for the
     scaled scenarios where hundreds of hosts relay for each other over
-    AODV-style routes.  ``incremental_grid=False`` restores the per-tick
-    snapshot rebuild (the event-driven-maintenance benchmark baseline),
-    ``predictive_links=False`` the purely lazy link-epoch maintenance (the
-    predictive-scheduling equivalence baseline), and ``vectorized``
-    selects the batched NumPy geometry kernels (``None``: automatic when
-    NumPy is available; ``False``: the scalar per-host loops, the
-    kernel-equivalence baseline).
+    AODV-style routes.
     """
 
     def factory(scheduler: EventScheduler) -> CommunicationsLayer:
@@ -151,9 +142,6 @@ def adhoc_network_factory(
             jitter=jitter,
             multi_hop=multi_hop,
             seed=seed,
-            incremental_grid=incremental_grid,
-            predictive_links=predictive_links,
-            vectorized=vectorized,
         )
 
     return factory
@@ -166,7 +154,6 @@ def build_trial_community(
     network_factory: Callable[[EventScheduler], CommunicationsLayer] | None = None,
     solver: Solver | str | None = None,
     mobility_factory: Callable[[int], "MobilityModel | Point"] | None = None,
-    share_supergraph: bool = True,
     batch_auctions: bool = True,
     batch_execution: bool = True,
     fault_injection: bool = False,
@@ -183,12 +170,10 @@ def build_trial_community(
     :class:`~repro.mobility.geometry.Point` or a mobility model); the
     default is the paper-style line of hosts 20 m apart.  The scaled ad hoc
     scenarios use it to scatter hundreds of mobile hosts over a site.
-    ``share_supergraph=False`` restores per-workspace supergraphs on every
-    host (the pre-knowledge-plane behaviour, kept for equivalence tests and
-    the discovery-scaling benchmark baseline), ``batch_auctions=False`` the
-    per-(task, participant) auction protocol, and ``batch_execution=False``
-    the per-label / per-task execution protocol (same outcomes, more
-    messages — the allocation- and execution-scaling benchmark baselines).
+    ``batch_auctions=False`` restores the per-(task, participant) auction
+    protocol and ``batch_execution=False`` the per-label / per-task
+    execution protocol (same outcomes, more messages — the allocation- and
+    execution-scaling benchmark baselines).
     """
 
     if num_hosts < 1:
@@ -209,7 +194,6 @@ def build_trial_community(
             services=service_groups[index],
             mobility=mobility,
             solver=solver,
-            share_supergraph=share_supergraph,
             batch_auctions=batch_auctions,
             batch_execution=batch_execution,
             fault_injection=fault_injection,
@@ -293,6 +277,8 @@ def run_churn_trial(
     given.
     Everything is a pure function of ``seed``: re-running
     with the same arguments reproduces the same faults and the same result.
+    The community is closed before returning, so durability backends are
+    closed and any journal directory the community created is removed.
     """
 
     community = build_trial_community(
@@ -338,6 +324,20 @@ def run_churn_trial(
         crashes=tuple(crashes),
     )
     community.install_fault_plane(plane)
+    try:
+        return _churn_result(community, plane, initiator, specification, max_sim_seconds)
+    finally:
+        community.close()
+
+
+def _churn_result(
+    community: Community,
+    plane: FaultPlane,
+    initiator: str,
+    specification: Specification,
+    max_sim_seconds: float,
+) -> TrialResult:
+    """Submit at ``initiator``, run to quiescence, and measure survival."""
 
     workspace = community.submit_specification(initiator, specification)
     community.run_idle(max_sim_seconds=max_sim_seconds)

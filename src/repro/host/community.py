@@ -12,6 +12,8 @@ until allocation (and optionally execution) finishes.
 
 from __future__ import annotations
 
+import shutil
+import tempfile
 from typing import Callable, Iterable, Iterator
 
 from ..core.errors import OpenWorkflowError
@@ -23,7 +25,6 @@ from ..execution.services import ServiceDescription
 from ..mobility.geometry import Point
 from ..mobility.locations import LocationDirectory, TravelModel
 from ..mobility.models import MobilityModel
-from ..net.adhoc import AdHocWirelessNetwork
 from ..net.faults import FaultPlane
 from ..net.simnet import SimulatedNetwork
 from ..net.transport import CommunicationsLayer
@@ -47,6 +48,10 @@ class Community:
         Shared directory of named places (optional).
     travel_model:
         Shared travel-time model (optional).
+
+    A community that journals to disk (``durability="file"`` or
+    ``"sqlite"``) keeps every journal under one temporary directory it
+    creates on first use; call :meth:`close` when done with it.
     """
 
     def __init__(
@@ -74,6 +79,9 @@ class Community:
         #: ``Host`` object but the backend — and everything journaled
         #: through it — survives for the next incarnation to replay.
         self._durability_backends: dict[str, object] = {}
+        #: The temporary directory holding on-disk journals, created by the
+        #: first ``"file"``/``"sqlite"`` host and removed by :meth:`close`.
+        self._journal_root: str | None = None
         self.fault_plane: FaultPlane | None = None
         self.hosts_crashed = 0
         self.hosts_restarted = 0
@@ -93,7 +101,6 @@ class Community:
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
         solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
         knowledge_refresh_interval: float = float("inf"),
         batch_auctions: bool = True,
         batch_execution: bool = True,
@@ -127,7 +134,6 @@ class Community:
             enable_recovery=enable_recovery,
             max_repair_attempts=max_repair_attempts,
             solver=solver,
-            share_supergraph=share_supergraph,
             knowledge_refresh_interval=knowledge_refresh_interval,
             batch_auctions=batch_auctions,
             batch_execution=batch_execution,
@@ -153,15 +159,16 @@ class Community:
             enable_recovery=enable_recovery,
             max_repair_attempts=max_repair_attempts,
             solver=solver,
-            share_supergraph=share_supergraph,
             knowledge_refresh_interval=knowledge_refresh_interval,
             fault_injection=fault_injection,
             durability=plane,
         )
         self._hosts[host_id] = host
         self._recipes[host_id] = recipe
-        if isinstance(self.network, AdHocWirelessNetwork) and mobility is not None:
-            self.network.place_host(host_id, mobility)
+        # Networks that model geometry (the ad hoc network) take placements.
+        place_host = getattr(self.network, "place_host", None)
+        if place_host is not None and mobility is not None:
+            place_host(host_id, mobility)
         return host
 
     def _durability_plane(
@@ -178,11 +185,41 @@ class Community:
             return None
         backend = self._durability_backends.get(host_id)
         if backend is None:
-            backend = make_backend(durability, host_id)
+            backend = make_backend(
+                durability, host_id, self._journal_directory(durability)
+            )
             if backend is None:
                 return None
             self._durability_backends[host_id] = backend
         return HostDurability(backend, journal_outputs=durable_outputs)
+
+    def _journal_directory(self, durability) -> str | None:
+        """A fresh directory for one on-disk backend, inside the community's
+        journal root (created on first use); ``None`` for other specs.
+
+        Each backend gets its own subdirectory so a host id that leaves
+        and rejoins never reopens its predecessor's journal.
+        """
+
+        if durability not in ("file", "sqlite"):
+            return None
+        if self._journal_root is None:
+            self._journal_root = tempfile.mkdtemp(prefix="repro-durability-")
+        return tempfile.mkdtemp(dir=self._journal_root)
+
+    def close(self) -> None:
+        """Close every durability backend and remove the journal root.
+
+        Only a directory this community created is removed; backends a
+        ``durability=`` factory built keep their files.  Call once the
+        community is no longer run.
+        """
+
+        for backend in self._durability_backends.values():
+            backend.close()
+        if self._journal_root is not None:
+            shutil.rmtree(self._journal_root, ignore_errors=True)
+            self._journal_root = None
 
     def remove_host(self, host_id: str) -> None:
         """A participant leaves the community (powers off or walks away).

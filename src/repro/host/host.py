@@ -98,11 +98,10 @@ class Host:
         Construction strategy for this host's workflow manager (a
         :class:`~repro.core.solver.Solver`, a registry name, or ``None``
         for the default memoized solver).
-    share_supergraph / knowledge_refresh_interval:
-        Shared-knowledge-plane configuration, forwarded to the
-        :class:`~repro.host.workflow_manager.WorkflowManager`: one
-        supergraph (and solver cache) for all of this host's workspaces,
-        and how long a remote's full sync stays trusted.
+    knowledge_refresh_interval:
+        How long a remote's full sync stays trusted by this host's shared
+        knowledge plane, forwarded to the
+        :class:`~repro.host.workflow_manager.WorkflowManager`.
     fault_injection:
         When true the host speaks the fault-hardened protocols: awards are
         acknowledged, unanswered solicitations and awards are retried with
@@ -131,7 +130,6 @@ class Host:
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
         solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
         knowledge_refresh_interval: float = float("inf"),
         fault_injection: bool = False,
         durability=None,
@@ -206,7 +204,6 @@ class Host:
             enable_recovery=enable_recovery,
             max_repair_attempts=max_repair_attempts,
             solver=solver,
-            share_supergraph=share_supergraph,
             knowledge_refresh_interval=knowledge_refresh_interval,
             robust=fault_injection,
             durability=durability,

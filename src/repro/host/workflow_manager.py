@@ -17,8 +17,8 @@ Two discovery strategies are supported, matching Section 3.1:
   colouring after each round, until a feasible workflow emerges or the
   community has nothing new to offer.
 
-**The shared knowledge plane.**  By default every workspace of a manager
-shares one long-lived :class:`~repro.core.supergraph.Supergraph` (and hence
+**The shared knowledge plane.**  Every workspace of a manager shares one
+long-lived :class:`~repro.core.supergraph.Supergraph` (and hence
 the solver's memoized colouring cache, which is keyed by graph identity).
 Workspace-local state — phase, exclusions, statistics, timing — stays
 per-workspace; only the accumulated community knowledge is shared.  The
@@ -33,13 +33,12 @@ manager keeps two high-water marks against that plane:
   queried at all.  Repeat workflows on a host therefore cost traffic and
   recolouring proportional to *new* knowledge, not community size.
 
-Pass ``share_supergraph=False`` to restore the original per-workspace
-graphs (used by the equivalence property tests), and
-``knowledge_refresh_interval=0.0`` to keep the shared graph but re-poll
-the community (with delta queries) on every submission.  One semantic
-difference of the shared plane is that knowledge, once learned, persists:
+Pass ``knowledge_refresh_interval=0.0`` to re-poll the community (with
+delta queries) on every submission.  Knowledge, once learned, persists:
 fragments collected for an earlier workflow remain available even if the
-contributing host has since left the community.
+contributing host has since left the community.  The equivalence suite
+checks each workflow against the same submission on a freshly built
+community (``tests/oracles/discovery.py``).
 """
 
 from __future__ import annotations
@@ -100,11 +99,6 @@ class WorkflowManager:
         of incremental discovery, and the final construction after
         discovery — reuse the cached green region and recolor only the
         fragments that arrived in between.
-    share_supergraph:
-        When true (the default) all workspaces of this manager accumulate
-        knowledge into one shared supergraph, so repeat workflows reuse
-        fragments and cached colourings across submissions.  ``False``
-        restores the original per-workspace graphs.
     knowledge_refresh_interval:
         Minimum simulated-seconds age of a remote's full sync before that
         remote is re-queried.  The default (``inf``) trusts a completed
@@ -126,7 +120,6 @@ class WorkflowManager:
         enable_recovery: bool = False,
         max_repair_attempts: int = 3,
         solver: Solver | str | None = None,
-        share_supergraph: bool = True,
         knowledge_refresh_interval: float = math.inf,
         robust: bool = False,
         discovery_timeout: float = 15.0,
@@ -153,10 +146,10 @@ class WorkflowManager:
         self.solver = make_solver(
             solver, stop_exploration_early=stop_exploration_early
         )
-        self.share_supergraph = share_supergraph
         self.knowledge_refresh_interval = knowledge_refresh_interval
-        #: The host's knowledge plane: one supergraph for every workspace.
-        self.supergraph: Supergraph | None = Supergraph() if share_supergraph else None
+        #: The host's knowledge plane: one supergraph for every workspace,
+        #: so repeat workflows reuse fragments and cached colourings.
+        self.supergraph = Supergraph()
         self._seeded_local_version = 0
         #: remote host -> (version, sim time, database epoch) of its last
         #: full sync.  The epoch ties the version to one database instance;
@@ -206,7 +199,6 @@ class WorkflowManager:
         excluded_tasks: Iterable[str] = (),
         repair_of: str | None = None,
         repair_attempt: int = 0,
-        supergraph: Supergraph | None = None,
     ) -> Workspace:
         """Start working on a new problem; returns its workspace immediately.
 
@@ -215,10 +207,9 @@ class WorkflowManager:
         the optional callbacks and can always be inspected on the returned
         workspace.  ``excluded_tasks`` forbids specific tasks during
         construction — used by workflow repair to route around tasks whose
-        execution has already failed.  ``supergraph`` lets a caller reuse an
-        already-accumulated graph (repairs pass the failed workspace's graph
-        so the solver's cached colouring — and the community knowledge — is
-        reused instead of rediscovered).
+        execution has already failed.  Every workspace builds on the
+        manager's shared supergraph, so a repair reuses the solver's cached
+        colouring and the community knowledge instead of rediscovering them.
         """
 
         participant_set = frozenset(participants) | {self.host_id}
@@ -238,10 +229,7 @@ class WorkflowManager:
                 repair_of,
                 repair_attempt,
             )
-        if supergraph is not None:
-            workspace.supergraph = supergraph
-        elif self.supergraph is not None:
-            workspace.supergraph = self.supergraph
+        workspace.supergraph = self.supergraph
         workspace.excluded_tasks = set(excluded_tasks)
         workspace.repair_of = repair_of
         workspace.repair_attempt = repair_attempt
@@ -253,19 +241,14 @@ class WorkflowManager:
             self._on_completed[workflow_id] = on_completed
 
         # The initiator's own know-how seeds the supergraph without any
-        # network traffic.  On the shared plane only fragments added since
-        # the previous submission are merged (one journaled batch).
+        # network traffic: only fragments added since the previous
+        # submission are merged (one journaled batch).
         workspace.fragments_reused = workspace.supergraph.fragment_count
-        if self._uses_shared_plane(workspace):
-            new_local = self.fragments.fragments_since(self._seeded_local_version)
-            workspace.fragments_collected += workspace.supergraph.add_fragments_batch(
-                new_local
-            )
-            self._seeded_local_version = self.fragments.version
-        else:
-            for fragment in self.fragments.all_fragments():
-                workspace.supergraph.add_fragment(fragment)
-                workspace.fragments_collected += 1
+        new_local = self.fragments.fragments_since(self._seeded_local_version)
+        workspace.fragments_collected += workspace.supergraph.add_fragments_batch(
+            new_local
+        )
+        self._seeded_local_version = self.fragments.version
 
         self._start_discovery(workspace)
         return workspace
@@ -280,9 +263,6 @@ class WorkflowManager:
     def _remote_participants(self, workspace: Workspace) -> list[str]:
         return sorted(workspace.participants - {self.host_id})
 
-    def _uses_shared_plane(self, workspace: Workspace) -> bool:
-        return self.supergraph is not None and workspace.supergraph is self.supergraph
-
     def _is_freshly_synced(self, remote: str) -> bool:
         """True when ``remote``'s last full sync is young enough to trust."""
 
@@ -292,22 +272,18 @@ class WorkflowManager:
         age = self.scheduler.clock.now() - sync[1]
         return age < self.knowledge_refresh_interval
 
-    def _stale_remotes(self, workspace: Workspace, remotes: list[str]) -> list[str]:
+    def _stale_remotes(self, remotes: list[str]) -> list[str]:
         """The remotes whose knowledge the shared plane does not already hold."""
 
-        if not self._uses_shared_plane(workspace):
-            return remotes
         return [r for r in remotes if not self._is_freshly_synced(r)]
 
-    def _sync_floor(self, workspace: Workspace, remote: str) -> tuple[int, int]:
+    def _sync_floor(self, remote: str) -> tuple[int, int]:
         """(version, epoch) delta floor for a query to ``remote``.
 
         ``(0, -1)`` means "send everything".  The epoch lets the responder
         reject a floor recorded against a previous database instance.
         """
 
-        if not self._uses_shared_plane(workspace):
-            return 0, -1
         sync = self._synced_remotes.get(remote)
         return (sync[0], sync[2]) if sync is not None else (0, -1)
 
@@ -342,7 +318,7 @@ class WorkflowManager:
 
     def _query_all_fragments(self, workspace: Workspace, remotes: list[str]) -> None:
         workspace.did_full_discovery = True
-        stale = self._stale_remotes(workspace, remotes)
+        stale = self._stale_remotes(remotes)
         workspace.remotes_skipped += len(remotes) - len(stale)
         if not stale:
             # Every participant completed a full sync into the shared plane
@@ -358,7 +334,7 @@ class WorkflowManager:
         self._arm_discovery_timer(workspace, attempt=1)
 
     def _send_full_query(self, workspace: Workspace, remote: str) -> None:
-        floor_version, floor_epoch = self._sync_floor(workspace, remote)
+        floor_version, floor_epoch = self._sync_floor(remote)
         self._send(
             FragmentQuery(
                 sender=self.host_id,
@@ -376,7 +352,7 @@ class WorkflowManager:
         if result.succeeded:
             self._after_discovery(workspace)
             return
-        stale = self._stale_remotes(workspace, remotes)
+        stale = self._stale_remotes(remotes)
         if not stale:
             # The shared plane already holds everything the community knows;
             # asking again cannot change the verdict.
@@ -404,7 +380,7 @@ class WorkflowManager:
         workspace.remotes_skipped += len(remotes) - len(stale)
         workspace.awaiting_fragment_responses = set(stale)
         for remote in stale:
-            floor_version, floor_epoch = self._sync_floor(workspace, remote)
+            floor_version, floor_epoch = self._sync_floor(remote)
             self._send(
                 FragmentQuery(
                     sender=self.host_id,
@@ -523,7 +499,7 @@ class WorkflowManager:
             # A full (want_all) answer means the plane now holds everything
             # the sender knew up to its reported version: record the
             # high-water mark for future delta queries.
-            if response.knowledge_version >= 0 and self._uses_shared_plane(workspace):
+            if response.knowledge_version >= 0:
                 self._synced_remotes[response.sender] = (
                     response.knowledge_version,
                     self.scheduler.clock.now(),
@@ -852,7 +828,6 @@ class WorkflowManager:
             excluded_tasks=excluded,
             repair_of=workspace.workflow_id,
             repair_attempt=workspace.repair_attempt + 1,
-            supergraph=workspace.supergraph,
         )
         workspace.repaired_by = repaired.workflow_id
         if self.durability is not None:
@@ -895,8 +870,7 @@ class WorkflowManager:
                 participants=frozenset(record.participants),
             )
             workspace.durability = self.durability
-            if self.supergraph is not None:
-                workspace.supergraph = self.supergraph
+            workspace.supergraph = self.supergraph
             workspace.excluded_tasks = set(record.excluded_tasks)
             workspace.repair_of = record.repair_of
             workspace.repair_attempt = record.repair_attempt
@@ -929,7 +903,7 @@ class WorkflowManager:
                 executing.append(workspace)
             elif phase not in (WorkflowPhase.COMPLETED, WorkflowPhase.FAILED):
                 resumable.append((workspace, record))
-        if resumable and self.supergraph is not None:
+        if resumable:
             # Seed the restored shared plane with local know-how, exactly as
             # submit() would have (the fragment manager was rebuilt from the
             # journal before this runs).
@@ -945,9 +919,6 @@ class WorkflowManager:
             else:
                 self._arm_liveness(workspace)
         for workspace, record in resumable:
-            if self.supergraph is None:
-                for fragment in self.fragments.all_fragments():
-                    workspace.supergraph.add_fragment(fragment)
             if record.discovered:
                 # Know-how already paid for over the network: replayed from
                 # the journal instead of re-queried.

@@ -33,8 +33,8 @@ dictionary lookup.  ``neighbours_of`` is an O(k) grid query,
 ``is_connected`` one O(V+E) component sweep, and cached routes revalidate
 by comparing link epochs instead of walking links.
 
-Event-driven link maintenance (the default, ``incremental_grid=True``)
-makes the *tick boundary* cheap as well.  Instead of discarding the whole
+Event-driven link maintenance makes the *tick boundary* cheap as well.
+Instead of discarding the whole
 snapshot when the clock moves, the network keeps a heap of
 ``(next-possible-move time, host)`` entries fed by the mobility models'
 ``next_move_time`` (leg and pause boundaries straight from the trajectory
@@ -46,11 +46,11 @@ link changed — the overwhelmingly common tick under smooth mobility —
 every memoized neighbour set, component label, and link epoch survives,
 so the tick costs O(moved hosts) instead of an O(n) rebuild.  When links
 did change, only the hosts touching a changed link have their memos
-dropped (their epochs then bump lazily on the next query, exactly as on
-the rebuild path).
+dropped (their epochs then bump lazily on the next query, exactly as a
+full rebuild would).
 
-Predictive link-break scheduling (the default, ``predictive_links=True``)
-goes one step further for the links that carry traffic: whenever a message
+Predictive link-break scheduling goes one step further for the links that
+carry traffic: whenever a message
 uses a link (directly or on a cached AODV route), the network derives — in
 closed form, from the two endpoints' current trajectory legs
 (:func:`~repro.net.spatial.link_crossing_time`) — the exact instant that
@@ -66,10 +66,10 @@ links no cached state depends on.  Predictions are advisory and bump-only:
 a prediction invalidated by a leg change simply fires without effect (or
 is never armed, when the crossing falls beyond the legs' validity), and
 the lazy comparison at the next query remains the backstop that catches
-every change — so observable geometry is identical with the flag off.
+every change — so observable geometry is identical to purely lazy epochs.
 
-Vectorized geometry kernels (``vectorized=True``, automatic whenever
-NumPy is importable and the spatial index is on) move the remaining
+Vectorized geometry kernels (used whenever NumPy is importable, as
+:attr:`AdHocWirelessNetwork.vectorized` reports) move the remaining
 per-host Python loops into array code: the whole population's trajectory
 legs live in a contiguous :class:`~repro.net.kernels.LegTable`, snapshot
 builds and advances evaluate every requested position in one batched
@@ -81,14 +81,12 @@ run the exact float operation sequences of the scalar paths (boundary
 pairs re-checked with scalar ``math.hypot``), so every neighbour set,
 epoch, component verdict, and armed crossing instant is identical
 bit-for-bit — pinned by the kernel equivalence property suite.  NumPy is
-optional: without it the flag auto-resolves to ``False`` and the scalar
-paths below run untouched.
+optional: without it the scalar paths below run untouched.
 
-Pass ``use_spatial_index=False`` to fall back to the original brute-force
-scans, ``incremental_grid=False`` to keep the grid but rebuild it every
-tick (the PR-2 behaviour), ``predictive_links=False`` for purely lazy
-epochs, or ``vectorized=False`` for the scalar loops; all reference paths
-are kept for the equivalence property suites and benchmark baselines.
+The reference model every optimisation above is checked against —
+positions evaluated from the mobility models at each query, O(n²) neighbour
+scans, BFS reachability, purely lazy link epochs — is
+``tests/oracles/adhoc.py``.
 """
 
 from __future__ import annotations
@@ -171,39 +169,10 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     multi_hop:
         When false (the paper's Figure 6 setup has all four laptops in
         mutual range), only direct neighbours can communicate.
-    use_spatial_index:
-        When true (the default), geometry queries go through the per-tick
-        grid snapshot; when false, the original brute-force O(n) scans and
-        all-pairs connectivity loop are used.  The flag exists for the
-        equivalence tests and the scaling benchmarks' baseline.
-    incremental_grid:
-        When true (the default, and only meaningful with the spatial
-        index), the snapshot is *advanced* across tick boundaries: only
-        hosts whose mobility model reports possible movement are
-        re-evaluated and re-indexed, and geometry memos survive wherever
-        no link changed.  ``False`` restores the PR-2 full rebuild per
-        tick (the reference path for the incremental/rebuild equivalence
-        property suite and the maintenance benchmark baseline).
-    predictive_links:
-        When true (the default), the instant each *used* link (one a
-        message just crossed, directly or on a cached route) will break is
-        computed in closed form from the endpoints' trajectory legs and an
-        epoch-bump event is scheduled at exactly that instant, so route
-        caches start invalidating when their links break instead of lazily
-        at the next query.  ``False`` keeps the purely lazy epoch
-        maintenance (the reference path for the predictive/lazy
-        equivalence suite).
-    vectorized:
-        When true, geometry flows through the batched NumPy kernels
-        (:mod:`repro.net.kernels`): snapshot builds/advances, disc
-        comparisons, component sweeps, and crossing-time quadratics are
-        evaluated over the whole population per call, with bit-identical
-        results to the scalar loops.  ``None`` (the default) resolves to
-        ``True`` exactly when NumPy is importable and the spatial index is
-        on; ``True`` without NumPy (or without the spatial index) raises.
-        ``False`` keeps the scalar per-host paths (the reference for the
-        kernel equivalence suite, and the only paths exercised when NumPy
-        is absent).
+
+    Geometry goes through the batched NumPy kernels exactly when NumPy is
+    importable (:attr:`vectorized`); otherwise through the scalar per-host
+    loops, with bit-identical results.
     """
 
     def __init__(
@@ -216,10 +185,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         jitter: float = 0.0,
         multi_hop: bool = True,
         seed: int = 0,
-        use_spatial_index: bool = True,
-        incremental_grid: bool = True,
-        predictive_links: bool = True,
-        vectorized: bool | None = None,
     ) -> None:
         super().__init__(scheduler)
         if radio_range <= 0:
@@ -232,19 +197,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.route_discovery_cost = route_discovery_cost
         self.jitter = jitter
         self.multi_hop = multi_hop
-        self.use_spatial_index = use_spatial_index
-        self.incremental_grid = incremental_grid
-        self.predictive_links = predictive_links
-        if vectorized is None:
-            vectorized = use_spatial_index and kernels.numpy_available()
-        elif vectorized:
-            if not use_spatial_index:
-                raise ValueError(
-                    "vectorized geometry requires the spatial index "
-                    "(use_spatial_index=True)"
-                )
-            kernels.require_numpy()
-        self.vectorized = bool(vectorized)
+        self._vectorized = kernels.numpy_available()
         self._rng = rng_from_seed(seed)
         self._mobility: dict[str, MobilityModel] = {}
         # Vectorized mode: the population's trajectory legs in contiguous
@@ -282,6 +235,12 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self.link_break_events = 0  # epoch-bump events fired
         self.predicted_epoch_bumps = 0  # fired events that advanced an epoch
         self._router = AodvRouter(self.neighbours_of, epoch_of=self.link_epoch)
+
+    @property
+    def vectorized(self) -> bool:
+        """True when geometry runs on the NumPy kernels (NumPy importable)."""
+
+        return self._vectorized
 
     # -- membership with positions -------------------------------------------
     def register(self, host_id: str, handler) -> None:  # type: ignore[override]
@@ -328,18 +287,13 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if snapshot is not None and snapshot.version == self._version:
             if snapshot.time == now:
                 return snapshot
-            if (
-                self.incremental_grid
-                and self.use_spatial_index
-                and now > snapshot.time
-                # Geometry memos only carry across ticks while the radio
-                # range they were computed for still holds.
-                and snapshot.radius == self.radio_range
-            ):
+            # Geometry memos only carry across ticks while the radio range
+            # they were computed for still holds.
+            if now > snapshot.time and snapshot.radius == self.radio_range:
                 self._advance_snapshot(snapshot, now)
                 self.snapshots_built += 1
                 return snapshot
-        if self.vectorized:
+        if self._vectorized:
             snapshot = self._build_snapshot_vectorized(now)
         else:
             positions = {
@@ -356,8 +310,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         self._snapshot = snapshot
         self.snapshots_built += 1
         self.grid_rebuilds += 1
-        if self.incremental_grid and self.use_spatial_index:
-            self._rebuild_move_heap(now)
+        self._rebuild_move_heap(now)
         return snapshot
 
     # -- vectorized geometry ------------------------------------------------
@@ -405,7 +358,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         return reporter(time)
 
     def _rebuild_move_heap(self, now: float) -> None:
-        if self.vectorized:
+        if self._vectorized:
             hosts, table = self._current_leg_table()
             np = kernels.np
             move_times = table.next_move_times(now, np.arange(len(hosts)))
@@ -436,7 +389,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         labelling only when at least one such link exists.
         """
 
-        if self.vectorized:
+        if self._vectorized:
             self._advance_snapshot_vectorized(snapshot, now)
             return
         snapshot.time = now
@@ -625,26 +578,19 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def neighbours_of(self, host_id: str) -> frozenset[str]:
         """Hosts currently within direct radio range of ``host_id``.
 
-        O(k) in the local host density via the grid snapshot (O(n) brute
-        force when ``use_spatial_index`` is off); memoized per instant.
+        O(k) in the local host density via the grid snapshot; memoized per
+        instant.
         """
 
         snapshot = self._current_snapshot()
         cached = snapshot.neighbours.get(host_id)
         if cached is not None:
             return cached
-        if self.use_spatial_index:
-            if host_id in snapshot.grid:
-                neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
-            else:
-                position = self._position_at(host_id, snapshot.time)
-                neighbours = snapshot.grid.near(position, self.radio_range) - {host_id}
+        if host_id in snapshot.grid:
+            neighbours = snapshot.grid.neighbours_of(host_id, self.radio_range)
         else:
-            neighbours = frozenset(
-                other
-                for other in self.host_ids
-                if other != host_id and self.in_radio_range(host_id, other)
-            )
+            position = self._position_at(host_id, snapshot.time)
+            neighbours = snapshot.grid.near(position, self.radio_range) - {host_id}
         snapshot.neighbours[host_id] = neighbours
         return neighbours
 
@@ -719,7 +665,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             pending.append(pair)
         if not pending:
             return
-        if self.vectorized and len(pending) > 1:
+        if self._vectorized and len(pending) > 1:
             predictions = self._predict_link_breaks_batched(pending, now)
         else:
             predictions = [
@@ -809,8 +755,6 @@ class AdHocWirelessNetwork(CommunicationsLayer):
 
         self._armed_links.pop(pair, None)
         self.link_break_events += 1
-        if not self.predictive_links:
-            return
         hosts = self.host_ids
         for host in pair:
             if host not in hosts:
@@ -849,7 +793,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
     def _component_labels(self) -> dict[str, int]:
         snapshot = self._current_snapshot()
         if snapshot.components is None:
-            if self.vectorized:
+            if self._vectorized:
                 # One whole-population disc sweep yields every neighbour
                 # set *and* the component partition: warm the per-host
                 # memos as a side effect (the sets are exactly what the
@@ -873,32 +817,18 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             return True
         if not self.multi_hop:
             return False
-        if self.use_spatial_index:
-            labels = self._component_labels()
-            sender_label = labels.get(sender)
-            return sender_label is not None and sender_label == labels.get(recipient)
-        try:
-            self._router.route(sender, recipient)
-        except RouteNotFound:
-            return False
-        return True
+        labels = self._component_labels()
+        sender_label = labels.get(sender)
+        return sender_label is not None and sender_label == labels.get(recipient)
 
     def is_connected(self) -> bool:
         """True when every pair of attached hosts can currently communicate.
 
-        With the spatial index this is a single connected-components sweep
-        (multi-hop) or a neighbour-count check (single-hop, where "connected"
-        means every pair is in direct range); the brute-force flag keeps the
-        original all-pairs reachability loop for the equivalence tests.
+        A single connected-components sweep (multi-hop) or a neighbour-count
+        check (single-hop, where "connected" means every pair is in direct
+        range).
         """
 
-        if not self.use_spatial_index:
-            hosts = sorted(self.host_ids)
-            return all(
-                self.is_reachable(a, b)
-                for i, a in enumerate(hosts)
-                for b in hosts[i + 1 :]
-            )
         hosts = self.host_ids
         if len(hosts) <= 1:
             return True
@@ -934,8 +864,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         if sender == recipient:
             return 0, False
         if self.in_radio_range(sender, recipient):
-            if self.predictive_links:
-                self._arm_route_predictions((sender, recipient))
+            self._arm_route_predictions((sender, recipient))
             return 1, False
         if not self.multi_hop:
             raise HostUnreachableError(
@@ -945,8 +874,7 @@ class AdHocWirelessNetwork(CommunicationsLayer):
             route, cached = self._router.lookup(sender, recipient)
         except RouteNotFound as exc:
             raise HostUnreachableError(str(exc)) from exc
-        if self.predictive_links:
-            self._arm_route_predictions(route.hops)
+        self._arm_route_predictions(route.hops)
         return route.hop_count, not cached
 
     # -- maintenance ------------------------------------------------------------------

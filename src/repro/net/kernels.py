@@ -42,7 +42,7 @@ verdicts, pinned by the kernel↔scalar property suite.
 
 NumPy is an *optional* dependency: importing this module without it leaves
 :func:`numpy_available` false and every scalar path untouched (the network
-layer auto-falls back, and CI runs a no-NumPy leg to keep it that way).
+layer picks its scalar paths, and CI runs a no-NumPy leg to keep it that way).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def numpy_available() -> bool:
 def require_numpy() -> None:
     if np is None:
         raise RuntimeError(
-            "the vectorized geometry kernels require NumPy; install it or "
-            "run with vectorized=False"
+            "the vectorized geometry kernels require NumPy; without it the "
+            "network runs its scalar paths"
         )
 
 

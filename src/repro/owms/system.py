@@ -126,7 +126,6 @@ class OpenWorkflowSystem:
         preferences: ParticipantPreferences | None = None,
         construction_mode: str = "batch",
         solver: "Solver | str | None" = None,
-        share_supergraph: bool = True,
         knowledge_refresh_interval: float = float("inf"),
         batch_auctions: bool | None = None,
         batch_execution: bool | None = None,
@@ -143,7 +142,6 @@ class OpenWorkflowSystem:
             construction_mode=construction_mode,
             capability_aware=self.capability_aware,
             solver=solver if solver is not None else self.solver,
-            share_supergraph=share_supergraph,
             knowledge_refresh_interval=knowledge_refresh_interval,
             batch_auctions=(
                 self.batch_auctions if batch_auctions is None else batch_auctions

@@ -9,6 +9,8 @@ draining the scheduler like every other run.  This is the file the CI
 ``durability-smoke`` leg runs.
 """
 
+import pytest
+
 from repro.experiments.runner import workload_for
 from repro.experiments.trials import run_churn_trial, simulated_network_factory
 from repro.sim.randomness import derive_rng
@@ -146,9 +148,38 @@ class TestSQLiteBackedDurability:
         assert first.workflows_resumed == second.workflows_resumed
 
     def test_sqlite_string_flag_builds_working_backends(self):
-        # ``durability="sqlite"`` resolves through ``make_backend`` with a
-        # fresh temporary directory per host; results must match the
+        # ``durability="sqlite"`` resolves through ``make_backend`` into the
+        # community's own journal directory; results must match the
         # in-memory plane bit for bit.
         reference = churn(seed=7, durability="memory")
         sqlite_flag = churn(seed=7, durability="sqlite")
         assert reference.deterministic_copy() == sqlite_flag.deterministic_copy()
+
+    def test_sqlite_string_flag_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        # The trial's community creates one journal directory, closes every
+        # backend when the trial ends, and removes the directory.
+        import sqlite3
+        import tempfile
+
+        from repro.durability import make_backend
+        from repro.host import community as community_module
+
+        backends = []
+
+        def recording_make_backend(*args):
+            backend = make_backend(*args)
+            backends.append(backend)
+            return backend
+
+        monkeypatch.setattr(community_module, "make_backend", recording_make_backend)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = churn(seed=7, durability="sqlite")
+        assert result.succeeded or result.failure_reason
+        assert len(backends) == 20
+        roots = {backend.db_path.parent.parent for backend in backends}
+        assert len(roots) == 1  # one directory for the whole community
+        assert roots.pop().name.startswith("repro-durability-")
+        assert [entry.name for entry in tmp_path.iterdir()] == []
+        for backend in backends:
+            with pytest.raises(sqlite3.ProgrammingError):
+                backend.payloads()  # closed

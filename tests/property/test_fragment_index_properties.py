@@ -1,9 +1,10 @@
 """Property: indexed fragment discovery ≡ the linear reference scan.
 
 The :class:`~repro.discovery.knowhow.FragmentManager` answers know-how
-queries from an inverted index (:class:`FragmentIndex`) by default, with the
-original one-pass-over-everything scan kept behind ``use_index=False``.  The
-two paths must agree *exactly* — same fragments, same order — for every
+queries from an inverted index (:class:`FragmentIndex`); the reference is a
+one-pass-over-everything scan of the same database
+(:func:`tests.oracles.discovery.linear_matching`).  The two must agree
+*exactly* — same fragments, same order — for every
 combination of the query's narrowing fields (label sets, ``want_all``,
 exclusion list, delta floor), including after removals and re-additions,
 which is what these properties drive randomly.
@@ -15,15 +16,15 @@ from hypothesis import strategies as st
 from repro.discovery.knowhow import FragmentManager
 from repro.net.messages import FragmentQuery
 
+from tests.oracles.discovery import linear_matching
+
 from .strategies import LABELS, knowledge_sets
 
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
-def _managers(fragments):
-    indexed = FragmentManager("indexed", fragments, use_index=True)
-    linear = FragmentManager("linear", fragments, use_index=False)
-    return indexed, linear
+def _ids(fragments):
+    return [fragment.fragment_id for fragment in fragments]
 
 
 @st.composite
@@ -61,12 +62,10 @@ def queries(draw, max_version: int = 12) -> FragmentQuery:
 @SETTINGS
 @given(fragments=knowledge_sets(max_fragments=12), query=queries())
 def test_indexed_matching_equals_linear_scan(fragments, query):
-    indexed, linear = _managers(fragments)
-    result_indexed = indexed.matching_fragments(query)
-    result_linear = linear.matching_fragments(query)
-    assert [f.fragment_id for f in result_indexed] == [
-        f.fragment_id for f in result_linear
-    ]
+    manager = FragmentManager("answerer", fragments)
+    assert _ids(manager.matching_fragments(query)) == _ids(
+        linear_matching(manager, query)
+    )
 
 
 @SETTINGS
@@ -76,21 +75,20 @@ def test_indexed_matching_equals_linear_scan(fragments, query):
     data=st.data(),
 )
 def test_equivalence_survives_removal_and_readdition(fragments, query, data):
-    indexed, linear = _managers(fragments)
-    victim = data.draw(st.sampled_from(sorted(indexed.fragment_ids)))
-    assert indexed.remove_fragment(victim) == linear.remove_fragment(victim)
+    manager = FragmentManager("answerer", fragments)
+    victim = data.draw(st.sampled_from(sorted(manager.fragment_ids)))
+    assert manager.remove_fragment(victim)
     readd = data.draw(st.booleans())
     if readd:
+        version = manager.version
         fragment = next(f for f in fragments if f.fragment_id == victim)
-        indexed.add_fragment(fragment)
-        linear.add_fragment(fragment)
-        # Re-ingestion assigns a fresh sequence number on both sides.
-        assert indexed.version == linear.version
-    result_indexed = indexed.matching_fragments(query)
-    result_linear = linear.matching_fragments(query)
-    assert [f.fragment_id for f in result_indexed] == [
-        f.fragment_id for f in result_linear
-    ]
+        manager.add_fragment(fragment)
+        # Re-ingestion assigns a fresh sequence number.
+        assert manager.version == version + 1
+        assert manager.knowledge.sequence_of(victim) == manager.version
+    assert _ids(manager.matching_fragments(query)) == _ids(
+        linear_matching(manager, query)
+    )
 
 
 @SETTINGS

@@ -1,12 +1,13 @@
-"""Property: event-driven grid maintenance ≡ full per-tick rebuild.
+"""Property: event-driven grid maintenance ≡ re-evaluating every tick.
 
-Two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the same
-placements and mobility schedules — one advancing its snapshot
-incrementally (``incremental_grid=True``, the default), one rebuilding it
-every tick (``incremental_grid=False``, the PR-2 reference path) — must
-agree on every position, neighbour set, link epoch, reachability answer,
-and connectivity verdict at every sampled instant of an increasing time
-schedule.  Mixed populations (static hosts, scripted waypoint walkers,
+The production :class:`~repro.net.adhoc.AdHocWirelessNetwork`, which
+advances its snapshot incrementally, and the
+:class:`~tests.oracles.adhoc.ReferenceAdHocNetwork`, which evaluates every
+position from the mobility models at each query, over the same placements
+and mobility schedules must agree on every position, neighbour set, link
+epoch, reachability answer, and connectivity verdict at every sampled
+instant of an increasing time schedule, in multi-hop and single-hop mode.
+Mixed populations (static hosts, scripted waypoint walkers,
 random-waypoint wanderers) exercise both the skip path (hosts provably at
 rest) and the move path (re-evaluation, grid relocation, memo
 invalidation).  Mobility models memoize internally, so each network gets
@@ -23,6 +24,7 @@ from repro.mobility.models import (
 )
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.sim.events import EventScheduler
+from tests.oracles.adhoc import ReferenceAdHocNetwork
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -64,14 +66,9 @@ def make_model(spec):
     return RandomWaypointMobility(SITE, seed=seed, pause=pause)
 
 
-def build_network(specs, incremental=True, use_spatial_index=True):
+def build_network(specs, network_class=AdHocWirelessNetwork, multi_hop=True):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler,
-        radio_range=100.0,
-        incremental_grid=incremental,
-        use_spatial_index=use_spatial_index,
-    )
+    network = network_class(scheduler, radio_range=100.0, multi_hop=multi_hop)
     for index, spec in enumerate(specs):
         host = f"h{index}"
         network.register(host, lambda m: None)
@@ -82,8 +79,8 @@ def build_network(specs, incremental=True, use_spatial_index=True):
 @given(populations, schedules)
 @SETTINGS
 def test_incremental_maintenance_equivalent_to_rebuild(specs, deltas):
-    incremental, inc_scheduler = build_network(specs, incremental=True)
-    rebuilt, reb_scheduler = build_network(specs, incremental=False)
+    incremental, inc_scheduler = build_network(specs)
+    rebuilt, reb_scheduler = build_network(specs, ReferenceAdHocNetwork)
 
     hosts = sorted(incremental.host_ids)
     for delta in deltas:
@@ -97,18 +94,20 @@ def test_incremental_maintenance_equivalent_to_rebuild(specs, deltas):
             for b in hosts:
                 assert incremental.is_reachable(a, b) == rebuilt.is_reachable(a, b)
         assert incremental.is_connected() == rebuilt.is_connected()
-    # The incremental network may only have rebuilt its very first snapshot;
-    # the rebuild reference pays one rebuild per established snapshot.
+    # The incremental network may only have rebuilt its very first snapshot.
     if hosts:
         assert incremental.grid_rebuilds <= 1
-        assert rebuilt.grid_rebuilds == rebuilt.snapshots_built
 
 
 @given(populations, schedules)
 @SETTINGS
 def test_incremental_maintenance_matches_brute_force(specs, deltas):
-    incremental, inc_scheduler = build_network(specs, incremental=True)
-    brute, brute_scheduler = build_network(specs, use_spatial_index=False)
+    """Single-hop mode: "connected" means a complete radio graph."""
+
+    incremental, inc_scheduler = build_network(specs, multi_hop=False)
+    brute, brute_scheduler = build_network(
+        specs, ReferenceAdHocNetwork, multi_hop=False
+    )
 
     hosts = sorted(incremental.host_ids)
     for delta in deltas:
@@ -116,4 +115,7 @@ def test_incremental_maintenance_matches_brute_force(specs, deltas):
         brute_scheduler.clock.advance(delta)
         for host in hosts:
             assert incremental.neighbours_of(host) == brute.neighbours_of(host), host
+        for a in hosts:
+            for b in hosts:
+                assert incremental.is_reachable(a, b) == brute.is_reachable(a, b)
         assert incremental.is_connected() == brute.is_connected()

@@ -1,11 +1,11 @@
 """Property: vectorized geometry kernels ≡ scalar reference paths.
 
-Three layers of the same contract, in the repo's flag+equivalence idiom:
+Three layers of the same contract:
 
 * two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the
-  same placements — one on the batched NumPy kernels
-  (``vectorized=True``), one on the scalar per-host loops
-  (``vectorized=False``) — must agree on every position, neighbour set,
+  same placements — one on the batched NumPy kernels, one built with NumPy
+  hidden from :mod:`repro.net.kernels` and so on the scalar per-host
+  loops — must agree on every position, neighbour set,
   link epoch, reachability answer, and connectivity verdict at every
   sampled instant, and on the maintenance counters (the vectorized
   advance must pop, re-evaluate, and move exactly the hosts the scalar
@@ -16,6 +16,9 @@ Three layers of the same contract, in the repo's flag+equivalence idiom:
 * :func:`~repro.net.kernels.crossing_times` must reproduce
   :func:`~repro.net.spatial.link_crossing_time` root-for-root, bit-exact,
   across zero relative velocity, tangent, and receding geometries.
+
+On top of the three layers, a whole seeded mobile multi-hop allocation
+trial must produce a byte-identical deterministic result on either path.
 
 The near-radius ulp regression (exact separation beyond the radius,
 rounded distance on it) is pinned in ``tests/unit/test_kernels.py``; the
@@ -30,7 +33,8 @@ from hypothesis import given, settings, strategies as st
 
 pytest.importorskip("numpy")
 
-from repro.mobility.geometry import Point, Rectangle
+from repro.experiments.trials import adhoc_network_factory, run_allocation_trial
+from repro.mobility.geometry import Point, Rectangle, square_site
 from repro.mobility.models import (
     RandomWaypointMobility,
     StaticMobility,
@@ -40,6 +44,8 @@ from repro.net import kernels
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.spatial import link_crossing_time
 from repro.sim.events import EventScheduler
+from repro.sim.randomness import derive_rng, derive_seed
+from repro.workloads.supergraph_gen import RandomSupergraphWorkload
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -81,9 +87,11 @@ def make_model(spec):
 
 def build_network(specs, vectorized):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(
-        scheduler, radio_range=100.0, vectorized=vectorized
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        if not vectorized:
+            patch.setattr(kernels, "np", None)  # the platform has no NumPy
+        network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
+    assert network.vectorized == vectorized
     for index, spec in enumerate(specs):
         host = f"h{index}"
         network.register(host, lambda m: None)
@@ -162,3 +170,43 @@ def test_crossing_times_bit_identical_to_scalar(batch, radius):
             Point(ax, ay), (avx, avy), Point(bx, by), (bvx, bvy), radius
         )
         assert row == expected or (math.isinf(row) and math.isinf(expected))
+
+
+def test_scalar_and_vectorized_trials_byte_identical(monkeypatch):
+    """One seeded mobile multi-hop trial, run on the kernels and then with
+    NumPy hidden, yields the same ``deterministic_copy()``."""
+
+    seed, num_hosts = 20090514, 40
+    workload = RandomSupergraphWorkload(seed=seed).generate(50)
+    specification = workload.path_specification(4, derive_rng(seed, "kernel-trial"))
+    assert specification is not None
+    site = square_site(60.0 * math.sqrt(num_hosts))
+    networks = []
+
+    def network_factory(scheduler):
+        network = adhoc_network_factory(seed, multi_hop=True)(scheduler)
+        networks.append(network)
+        return network
+
+    def trial():
+        return run_allocation_trial(
+            workload,
+            num_hosts,
+            specification,
+            seed=seed,
+            network_factory=network_factory,
+            mobility_factory=lambda index: RandomWaypointMobility(
+                site, seed=derive_seed(seed, "kernel-trial", index)
+            ),
+        ).deterministic_copy()
+
+    vectorized = trial()
+    monkeypatch.setattr(kernels, "np", None)
+    scalar = trial()
+    assert [network.vectorized for network in networks] == [True, False]
+    assert scalar == vectorized
+    assert vectorized.succeeded
+    for network in networks:
+        # Hosts moved and messages crossed multi-hop routes on both paths.
+        assert network.hosts_moved > 0
+        assert network.router.discoveries > 0

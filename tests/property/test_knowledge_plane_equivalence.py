@@ -3,11 +3,13 @@
 The shared knowledge plane claims that running a *sequence* of workflows on
 one host — reusing the accumulated supergraph, skipping fully-synced
 remotes, seeding only new local fragments — produces results equivalent to
-the original behaviour where every workspace collects the community's
-knowledge into its own fresh graph.  These tests drive both configurations
-through fig5-style workloads (one supergraph partitioned across two hosts,
-a sweep of guaranteed-satisfiable path specifications submitted back to
-back at one initiator) and compare every workflow pairwise.
+collecting the community's knowledge into a fresh graph for every
+workspace.  The reference is each submission run on a freshly built
+community (:func:`tests.oracles.discovery.fresh_community_workspace`).
+These tests drive fig5-style workloads (one supergraph partitioned across
+two hosts, a sweep of guaranteed-satisfiable path specifications submitted
+back to back at one initiator) and compare every workflow with its
+reference.
 
 Equivalence is the solver contract (:func:`results_equivalent`): same
 feasibility verdict, and on success a valid workflow achieving the
@@ -23,35 +25,31 @@ from repro.experiments.trials import build_trial_community
 from repro.host.workspace import WorkflowPhase
 from repro.sim.randomness import derive_rng
 from repro.workloads.supergraph_gen import RandomSupergraphWorkload
+from tests.oracles.discovery import fresh_community_workspace
 
 SEED = 20090514
 
 
-def _run_sequence(share_supergraph: bool, num_tasks: int, path_lengths):
-    """Submit one spec per path length at host-0; return (workspaces, stats)."""
-
+@pytest.mark.parametrize("num_tasks", [25, 50])
+def test_shared_plane_equivalent_to_per_workspace_graphs(num_tasks):
+    path_lengths = [2, 4, 6, 4, 2, 6]  # repeats exercise the solver cache
     workload = RandomSupergraphWorkload(seed=SEED).generate(num_tasks)
-    community = build_trial_community(
-        workload, num_hosts=2, seed=SEED, share_supergraph=share_supergraph
-    )
+    community = build_trial_community(workload, num_hosts=2, seed=SEED)
     rng = derive_rng(SEED, "specs", num_tasks)
-    workspaces = []
+    shared, isolated = [], []
     for path_length in path_lengths:
         specification = workload.path_specification(path_length, rng)
         if specification is None:
             continue
         workspace = community.submit_specification("host-0", specification)
         community.run_until_allocated(workspace)
-        workspaces.append(workspace)
-    return workspaces, community.network.statistics
-
-
-@pytest.mark.parametrize("num_tasks", [25, 50])
-def test_shared_plane_equivalent_to_per_workspace_graphs(num_tasks):
-    path_lengths = [2, 4, 6, 4, 2, 6]  # repeats exercise the solver cache
-    shared, shared_stats = _run_sequence(True, num_tasks, path_lengths)
-    isolated, isolated_stats = _run_sequence(False, num_tasks, path_lengths)
-    assert len(shared) == len(isolated) > 0
+        shared.append(workspace)
+        _, reference = fresh_community_workspace(
+            workload, 2, SEED, specification
+        )
+        isolated.append(reference)
+    shared_stats = community.network.statistics
+    assert len(shared) > 0
     for ws_shared, ws_isolated in zip(shared, isolated):
         assert ws_shared.specification.name == ws_isolated.specification.name
         result_shared = ws_shared.construction_result
@@ -70,11 +68,8 @@ def test_shared_plane_equivalent_to_per_workspace_graphs(num_tasks):
     # full sync, no further fragment traffic goes on the wire ...
     assert shared_stats.kind_count("FragmentQuery") == 1
     assert shared_stats.kind_count("FragmentResponse") == 1
-    # ... while the isolated configuration re-collects every time.
-    assert isolated_stats.kind_count("FragmentQuery") == len(isolated)
     # Every later workspace starts from the accumulated knowledge.
     assert all(ws.fragments_reused > 0 for ws in shared[1:])
-    assert all(ws.fragments_reused == 0 for ws in isolated)
 
 
 def test_shared_plane_seeds_only_new_local_fragments():

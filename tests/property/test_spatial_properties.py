@@ -1,10 +1,10 @@
 """Property tests: the grid-indexed network is exactly equivalent to brute force.
 
-Two :class:`~repro.net.adhoc.AdHocWirelessNetwork` instances over the same
-random placements — one with the spatial index, one with the original
-brute-force scans (``use_spatial_index=False``) — must agree on every
-neighbour set, every reachability answer, and connectivity, at every
-sampled instant of a random mobility schedule.  The raw
+The production :class:`~repro.net.adhoc.AdHocWirelessNetwork` and the
+brute-force :class:`~tests.oracles.adhoc.ReferenceAdHocNetwork` over the
+same random placements must agree on every neighbour set, every
+reachability answer, and connectivity, at every sampled instant of a random
+mobility schedule.  The raw
 :class:`~repro.net.spatial.SpatialGridIndex` is additionally checked to be
 insensitive to the cell size chosen.
 """
@@ -16,6 +16,7 @@ from repro.mobility.models import RandomWaypointMobility, WaypointMobility
 from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.spatial import SpatialGridIndex
 from repro.sim.events import EventScheduler
+from tests.oracles.adhoc import ReferenceAdHocNetwork
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -32,13 +33,10 @@ def build_pair(positions, radio_range, multi_hop):
     """The same placement twice: grid-indexed and brute-force networks."""
 
     networks = []
-    for use_spatial_index in (True, False):
+    for network_class in (AdHocWirelessNetwork, ReferenceAdHocNetwork):
         scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler,
-            radio_range=radio_range,
-            multi_hop=multi_hop,
-            use_spatial_index=use_spatial_index,
+        network = network_class(
+            scheduler, radio_range=radio_range, multi_hop=multi_hop
         )
         for host, position in positions.items():
             network.register(host, lambda m: None)
@@ -87,14 +85,9 @@ def test_mobile_hosts_equivalent_at_every_sampled_instant(seeds, radio_range, st
         return RandomWaypointMobility(area, seed=seed)
 
     networks = []
-    for use_spatial_index in (True, False):
+    for network_class in (AdHocWirelessNetwork, ReferenceAdHocNetwork):
         scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler,
-            radio_range=radio_range,
-            multi_hop=True,
-            use_spatial_index=use_spatial_index,
-        )
+        network = network_class(scheduler, radio_range=radio_range, multi_hop=True)
         for index, seed in enumerate(seeds):
             host = f"h{index}"
             network.register(host, lambda m: None)

@@ -2,7 +2,7 @@
 
 The property suite (`tests/property/test_kernel_equivalence.py`) pins the
 batched↔scalar equivalence statistically; these tests pin the edges by
-hand — flag resolution with and without NumPy, opaque mobility models,
+hand — the platform choice with and without NumPy, opaque mobility models,
 degenerate legs, the near-radius ulp regression, and the exact scalar
 crossing-time cases batched.
 """
@@ -35,33 +35,29 @@ class OpaquePath:
 
 
 class TestFlagResolution:
+    """``vectorized`` is chosen by the platform, never by the caller."""
+
     def test_auto_resolves_to_numpy_availability(self):
         network = AdHocWirelessNetwork(EventScheduler())
         assert network.vectorized == kernels.numpy_available()
-
-    def test_auto_is_off_without_spatial_index(self):
-        network = AdHocWirelessNetwork(EventScheduler(), use_spatial_index=False)
-        assert not network.vectorized
-
-    def test_explicit_true_requires_spatial_index(self):
-        with pytest.raises(ValueError):
-            AdHocWirelessNetwork(
-                EventScheduler(), use_spatial_index=False, vectorized=True
-            )
+        with pytest.raises(AttributeError):
+            network.vectorized = not network.vectorized  # read-only
 
     def test_numpy_absence_falls_back_and_rejects_explicit_true(self, monkeypatch):
         monkeypatch.setattr(kernels, "np", None)
         assert not kernels.numpy_available()
-        network = AdHocWirelessNetwork(EventScheduler())  # auto: scalar
+        network = AdHocWirelessNetwork(EventScheduler())
         assert not network.vectorized
-        with pytest.raises(RuntimeError):
+        with pytest.raises(TypeError):  # no caller-side switch exists
             AdHocWirelessNetwork(EventScheduler(), vectorized=True)
         with pytest.raises(RuntimeError):
             kernels.require_numpy()
 
     @needs_numpy
-    def test_scalar_flag_keeps_scalar_grid(self):
-        network = AdHocWirelessNetwork(EventScheduler(), vectorized=False)
+    def test_scalar_flag_keeps_scalar_grid(self, monkeypatch):
+        monkeypatch.setattr(kernels, "np", None)  # hide NumPy from the network
+        network = AdHocWirelessNetwork(EventScheduler())
+        monkeypatch.undo()
         network.register("a", lambda m: None)
         network.place_host("a", Point(0, 0))
         network.neighbours_of("a")
@@ -69,7 +65,7 @@ class TestFlagResolution:
 
     @needs_numpy
     def test_vectorized_flag_builds_vector_grid(self):
-        network = AdHocWirelessNetwork(EventScheduler(), vectorized=True)
+        network = AdHocWirelessNetwork(EventScheduler())
         network.register("a", lambda m: None)
         network.place_host("a", Point(0, 0))
         network.neighbours_of("a")

@@ -146,19 +146,6 @@ class TestSharedSupergraphReuse:
         assert stats.kind_bytes("FragmentResponse") - bytes_after_first <= 80
         assert second.fragments_collected == 0
 
-    def test_share_supergraph_false_restores_per_workspace_graphs(self):
-        community = chain_community(share_supergraph=False)
-        first = community.submit_problem("one", ["a"], ["c"])
-        community.run_until_allocated(first)
-        second = community.submit_problem("one", ["a"], ["c"])
-        community.run_until_allocated(second)
-        assert first.supergraph is not second.supergraph
-        assert second.fragments_reused == 0
-        stats = community.network.statistics
-        assert stats.kind_count("FragmentQuery") == 2
-        manager = community.host("one").workflow_manager
-        assert manager.supergraph is None
-
     def test_incremental_mode_short_circuits_on_synced_plane(self):
         community = chain_community(construction_mode="incremental")
         first = community.submit_problem("one", ["a"], ["c"])

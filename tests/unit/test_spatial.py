@@ -13,6 +13,7 @@ from repro.net.adhoc import AdHocWirelessNetwork
 from repro.net.messages import Message
 from repro.net.spatial import SpatialGridIndex
 from repro.sim.events import EventScheduler
+from tests.oracles.adhoc import ReferenceAdHocNetwork
 
 
 class TestSpatialGridIndex:
@@ -75,9 +76,9 @@ class TestSpatialGridIndex:
             grid.near(Point(0, 0), -1.0)
 
 
-def make_network(**kwargs):
+def make_network(network_class=AdHocWirelessNetwork, **kwargs):
     scheduler = EventScheduler()
-    network = AdHocWirelessNetwork(scheduler, radio_range=100.0, **kwargs)
+    network = network_class(scheduler, radio_range=100.0, **kwargs)
     positions = {"a": Point(0, 0), "b": Point(80, 0), "c": Point(160, 0)}
     for host, position in positions.items():
         network.register(host, lambda m: None)
@@ -117,7 +118,7 @@ class TestSnapshotReuse:
 class TestGridBruteForceParity:
     def test_modes_agree_on_small_topology(self):
         indexed, _ = make_network(multi_hop=True)
-        brute, _ = make_network(multi_hop=True, use_spatial_index=False)
+        brute, _ = make_network(ReferenceAdHocNetwork, multi_hop=True)
         for host in ("a", "b", "c"):
             assert indexed.neighbours_of(host) == brute.neighbours_of(host)
         assert indexed.is_connected() == brute.is_connected()
@@ -126,7 +127,7 @@ class TestGridBruteForceParity:
     def test_single_hop_connected_means_complete_graph(self):
         network, _ = make_network(multi_hop=False)
         assert not network.is_connected()  # a-c not in direct range
-        brute, _ = make_network(multi_hop=False, use_spatial_index=False)
+        brute, _ = make_network(ReferenceAdHocNetwork, multi_hop=False)
         assert network.is_connected() == brute.is_connected()
 
     def test_rounded_boundary_distance_is_not_missed(self):
@@ -301,15 +302,6 @@ class TestIncrementalMaintenance:
         assert network.neighbours_of("b") == {"a", "c", "d"}
         assert network.grid_rebuilds == 2
 
-    def test_incremental_flag_off_rebuilds_every_tick(self):
-        network, scheduler = make_network(incremental_grid=False)
-        network.neighbours_of("a")
-        for _ in range(3):
-            scheduler.clock.advance(1.0)
-            network.neighbours_of("a")
-        assert network.grid_rebuilds == 4
-        assert network.snapshots_built == 4
-
     def test_epoch_bump_detected_across_incremental_advance(self):
         scheduler = EventScheduler()
         network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
@@ -384,11 +376,9 @@ class TestLinkCrossingTime:
 class TestPredictiveLinkBreaks:
     """Route use arms epoch-bump events at exact link-crossing instants."""
 
-    def walker_network(self, predictive=True):
+    def walker_network(self, network_class=AdHocWirelessNetwork):
         scheduler = EventScheduler()
-        network = AdHocWirelessNetwork(
-            scheduler, radio_range=100.0, predictive_links=predictive
-        )
+        network = network_class(scheduler, radio_range=100.0)
         network.register("a", lambda m: None)
         network.place_host("a", Point(0, 0))
         network.register("b", lambda m: None)
@@ -416,10 +406,15 @@ class TestPredictiveLinkBreaks:
         assert "b" not in network.neighbours_of("a")
 
     def test_lazy_mode_never_schedules_events(self):
-        network, scheduler = self.walker_network(predictive=False)
+        """The lazy reference sees the same break, only later, at a query."""
+
+        network, scheduler = self.walker_network(ReferenceAdHocNetwork)
+        epoch_a = network.link_epoch("a")
         network.latency_for(Message(sender="a", recipient="b"))
-        assert network.link_breaks_predicted == 0
         assert scheduler.peek_time() is None
+        scheduler.clock.advance(10.0)
+        assert "b" not in network.neighbours_of("a")
+        assert network.link_epoch("a") == epoch_a + 1
 
     def test_static_pair_arms_nothing(self):
         scheduler = EventScheduler()
