@@ -33,6 +33,18 @@ dictionary lookup.  ``neighbours_of`` is an O(k) grid query,
 ``is_connected`` one O(V+E) component sweep, and cached routes revalidate
 by comparing link epochs instead of walking links.
 
+Reachability is route first.  Every send asks ``is_reachable`` just before
+``latency_for`` looks up the AODV route for the same pair, so a multi-hop
+verdict is answered by a direct link or by a still-valid cached route
+(epoch-equal hops, or links re-checked one by one) — the same evidence the
+send is about to use.  The peek writes no router state.  Only a pair with
+no valid cached route falls back to the whole-fleet component labels
+(which also answer ``is_connected``), and labels already computed at this
+instant answer without a peek.  Under random-waypoint mobility almost every
+tick moves a quarter of the fleet or more, which drops the labels; answering
+from routes keeps whole-fleet sweeps to a few per trial instead of one per
+tick.
+
 Event-driven link maintenance makes the *tick boundary* cheap as well.
 Instead of discarding the whole
 snapshot when the clock moves, the network keeps a heap of
@@ -811,13 +823,31 @@ class AdHocWirelessNetwork(CommunicationsLayer):
         return snapshot.components
 
     def is_reachable(self, sender: str, recipient: str) -> bool:
+        """True when ``sender`` can currently reach ``recipient``.
+
+        Route first (see the module notes): a direct link, labels already
+        computed at this instant, or a still-valid cached AODV route
+        answers.  :meth:`AodvRouter.was_cached` only peeks, so discovery
+        charges, router counters and link-break predictions stay exactly
+        as ``latency_for`` leaves them.  Other pairs compute the labels.
+        """
+
         if sender == recipient:
             return True
         if self.in_radio_range(sender, recipient):
             return True
         if not self.multi_hop:
             return False
-        labels = self._component_labels()
+        labels = self._current_snapshot().components
+        if labels is None:
+            # A departed sender's links are computed from its last position
+            # and never change, so its route would stay valid; the labels,
+            # which hold only attached hosts, answer for it instead.
+            if self.is_registered(sender) and self._router.was_cached(
+                sender, recipient
+            ):
+                return True
+            labels = self._component_labels()
         sender_label = labels.get(sender)
         return sender_label is not None and sender_label == labels.get(recipient)
 

@@ -247,9 +247,10 @@ class VectorGridIndex:
     inclusive-radius membership — but positions live in contiguous arrays,
     buckets are a single argsort, and whole-population disc sweeps are one
     vectorized gather instead of n Python loops.  Single-host queries
-    (``near`` / ``neighbours_of``) answer through the identical exact test,
-    so the two index types are interchangeable behind
-    ``AdHocWirelessNetwork``'s snapshot.
+    (``near`` / ``neighbours_of``) touch a few dozen candidates, too few to
+    repay array set-up, so they scan the same 3×3 buckets in plain Python
+    with the scalar grid's exact ``math.hypot`` test; the two index types
+    are interchangeable behind ``AdHocWirelessNetwork``'s snapshot.
     """
 
     def __init__(self, ids: Sequence[str], xs, ys, cell_size: float) -> None:
@@ -302,6 +303,7 @@ class VectorGridIndex:
         self._cell_counts = np.diff(
             np.append(self._cell_starts, len(sorted_codes))
         )
+        self._scan_buckets: dict[int, list[tuple[str, float, float]]] | None = None
 
     def move_many(self, indices, xs, ys) -> None:
         """Relocate a batch of hosts and re-bucket in one vectorized pass."""
@@ -309,6 +311,28 @@ class VectorGridIndex:
         self.xs[indices] = xs
         self.ys[indices] = ys
         self._rebuild_buckets()
+
+    def _scalar_buckets(self) -> dict[int, list[tuple[str, float, float]]]:
+        """``cell code -> [(host, x, y), ...]`` for single-host queries.
+
+        Built on the first query after each re-bucketing, from the sorted
+        bucket arrays, so a tick that runs no single-host query pays nothing.
+        """
+
+        buckets = self._scan_buckets
+        if buckets is None:
+            ids, xs, ys = self.ids, self.xs.tolist(), self.ys.tolist()
+            members = [(ids[i], xs[i], ys[i]) for i in self._order.tolist()]
+            buckets = {
+                code: members[start : start + count]
+                for code, start, count in zip(
+                    self._cell_codes.tolist(),
+                    self._cell_starts.tolist(),
+                    self._cell_counts.tolist(),
+                )
+            }
+            self._scan_buckets = buckets
+        return buckets
 
     # -- candidate gathering ------------------------------------------------
     def _reach(self, radius: float) -> int:
@@ -372,21 +396,33 @@ class VectorGridIndex:
     # -- range queries ------------------------------------------------------
     def near(self, point: Point, radius: float) -> frozenset[str]:
         """Every indexed host within ``radius`` of ``point`` (inclusive) —
-        exactly :meth:`SpatialGridIndex.near`."""
+        exactly :meth:`SpatialGridIndex.near`, over the clamped cell codes."""
 
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        if not len(self.ids):
-            return frozenset()
-        cell_x = np.array([min(max(point.x // self.cell_size, -_CELL_LIMIT), _CELL_LIMIT)], dtype=np.int64)
-        cell_y = np.array([min(max(point.y // self.cell_size, -_CELL_LIMIT), _CELL_LIMIT)], dtype=np.int64)
-        _, candidates = self._candidate_pairs(cell_x, cell_y, radius)
-        if not candidates.size:
-            return frozenset()
-        inside = _within_radius(
-            self.xs[candidates] - point.x, self.ys[candidates] - point.y, radius
-        )
-        return frozenset(self._ids_array[candidates[inside]].tolist())
+        buckets = self._scalar_buckets()
+        reach = self._reach(radius)
+        x, y = point.x, point.y
+        cell_x = int(min(max(x // self.cell_size, -_CELL_LIMIT), _CELL_LIMIT))
+        cell_y = int(min(max(y // self.cell_size, -_CELL_LIMIT), _CELL_LIMIT))
+        rows = [
+            min(max(shifted, -_CELL_LIMIT), _CELL_LIMIT) * _CODE_BASE
+            for shifted in range(cell_x - reach, cell_x + reach + 1)
+        ]
+        columns = [
+            min(max(shifted, -_CELL_LIMIT), _CELL_LIMIT)
+            for shifted in range(cell_y - reach, cell_y + reach + 1)
+        ]
+        hypot = math.hypot
+        found: list[str] = []
+        for row in rows:
+            for column in columns:
+                bucket = buckets.get(row + column)
+                if bucket:
+                    for host, host_x, host_y in bucket:
+                        if hypot(host_x - x, host_y - y) <= radius:
+                            found.append(host)
+        return frozenset(found)
 
     def neighbours_of(self, host_id: str, radius: float) -> frozenset[str]:
         """Hosts within ``radius`` of ``host_id``, excluding itself."""

@@ -132,9 +132,16 @@ class AodvRouter:
         if source == destination:
             return Route(source, destination, (source,)), True
         entry = self._cache.get((source, destination))
-        if entry is not None and self._entry_valid(entry, count=True):
-            self.cache_hits += 1
-            return entry.route, True
+        if entry is not None:
+            valid, refreshed = self._validity(entry)
+            if valid:
+                if refreshed is not None:
+                    self.revalidations += 1
+                    entry.epochs = refreshed
+                elif entry.epochs is not None:
+                    self.epoch_hits += 1
+                self.cache_hits += 1
+                return entry.route, True
         route = self._discover(source, destination)
         epochs = self._epochs_for(route.hops)
         self._cache[(source, destination)] = _CacheEntry(route, epochs)
@@ -145,10 +152,16 @@ class AodvRouter:
         return route, False
 
     def was_cached(self, source: str, destination: str) -> bool:
-        """True when a still-valid route for the pair is in the cache."""
+        """True when a still-valid route for the pair is in the cache.
+
+        A pure peek: it adds no cache entry, refreshes no stored epochs and
+        bumps no counter, so asking it cannot change what a later
+        :meth:`lookup` reports.  The verdict is the one :meth:`lookup` would
+        reach: the route's links all exist right now.
+        """
 
         entry = self._cache.get((source, destination))
-        return entry is not None and self._entry_valid(entry, count=False)
+        return entry is not None and self._validity(entry)[0]
 
     def invalidate(self, host_a: str, host_b: str) -> int:
         """Drop every cached route using the (broken) link a-b; returns the count."""
@@ -177,23 +190,22 @@ class AodvRouter:
             return None
         return tuple(self._epoch_of(host) for host in hops)
 
-    def _entry_valid(self, entry: _CacheEntry, count: bool) -> bool:
+    def _validity(self, entry: _CacheEntry) -> tuple[bool, tuple[int, ...] | None]:
+        """``(valid, refreshed epochs)`` for a cached route, changing nothing.
+
+        Refreshed epochs are returned only when some host's neighbourhood
+        changed yet the route's own links survived a per-link re-check (an
+        unrelated neighbour moved); :meth:`lookup` stores them.
+        """
+
         if self._epoch_of is not None and entry.epochs is not None:
             current = self._epochs_for(entry.route.hops)
             if current == entry.epochs:
-                if count:
-                    self.epoch_hits += 1
-                return True
-            # Some host's neighbourhood changed; the route may still be
-            # intact (an unrelated neighbour moved).  Re-check its links and
-            # refresh the stored epochs when it survives.
+                return True, None
             if self._links_valid(entry.route):
-                if count:
-                    self.revalidations += 1
-                entry.epochs = current
-                return True
-            return False
-        return self._links_valid(entry.route)
+                return True, current
+            return False, None
+        return self._links_valid(entry.route), None
 
     def _links_valid(self, route: Route) -> bool:
         for first, second in zip(route.hops, route.hops[1:]):

@@ -194,6 +194,56 @@ class TestVectorGridIndex:
         vector = self.from_positions(positions, padded_cell_size(100.0))
         assert vector.neighbours_of("a", 100.0) == {"edge"}
 
+    def test_single_query_matches_scalar_grid_at_the_edges(self):
+        limit = 2**31 - 2  # the last cell that is not clamped
+        exact = {
+            "a": Point(0.0, 0.0),
+            "east": Point(100.0, 0.0),
+            "south": Point(0.0, -100.0),
+            "diagonal": Point(60.0, 80.0),  # hypot is exactly 100.0
+            # hypot rounds to 100.0, but dx*dx + dy*dy rounds above 10000.0
+            "rounded": Point(98.41798675761262, 17.71721994496844),
+            "out": Point(math.nextafter(100.0, 200.0), 0.0),
+        }
+        ulp = {"top": Point(0.0, 1.0), "bottom": Point(0.0, -1e-158)}
+        # Cells beyond +-limit share the limit cell's bucket: "beyond" and
+        # "far" land together, and only the exact test tells them apart.
+        clamped = {
+            "inside": Point(limit - 0.5, -limit - 0.5),
+            "edge": Point(limit + 0.5, -limit - 0.5),
+            "beyond": Point(limit + 1.5, -limit - 0.5),
+            "far": Point(limit + 3.5, -limit - 0.5),
+            "below": Point(limit + 0.5, -limit - 1.5),
+        }
+        cases = [(exact, 100.0, padded_cell_size(100.0))]
+        cases += [(ulp, 1.0, size) for size in (1.0, padded_cell_size(1.0), 0.3, 7.0)]
+        cases += [(clamped, 1.0, size) for size in (1.0, padded_cell_size(1.0))]
+        for positions, radius, cell_size in cases:
+            scalar = SpatialGridIndex(positions, cell_size=cell_size)
+            vector = self.from_positions(positions, cell_size)
+            probes = list(positions.values()) + [
+                first.midpoint(second)
+                for first in positions.values()
+                for second in positions.values()
+            ]
+            for probe in probes:
+                assert vector.near(probe, radius) == scalar.near(probe, radius), (
+                    probe,
+                    cell_size,
+                )
+            for host in positions:
+                assert vector.neighbours_of(host, radius) == scalar.neighbours_of(
+                    host, radius
+                ), (host, cell_size)
+        vector = self.from_positions(exact, padded_cell_size(100.0))
+        assert vector.neighbours_of("a", 100.0) == {
+            "east", "south", "diagonal", "rounded"
+        }
+        vector = self.from_positions(clamped, 1.0)
+        assert vector.neighbours_of("beyond", 1.0) == {"edge"}
+        assert vector.neighbours_of("edge", 1.0) == {"inside", "beyond", "below"}
+        assert vector.neighbours_of("far", 1.0) == frozenset()
+
     def test_move_many_rebuckets(self):
         positions = {"a": Point(0, 0), "b": Point(50, 0)}
         vector = self.from_positions(positions, 100.0)

@@ -70,6 +70,24 @@ class TestAodvRouter:
         adjacency["c"].discard("b")
         assert not router.was_cached("a", "c")
 
+    def test_was_cached_is_a_pure_peek(self):
+        adjacency = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}}
+        epochs = {"a": 0, "b": 0, "c": 0}
+        router = AodvRouter(
+            lambda host: frozenset(adjacency[host]), epoch_of=epochs.__getitem__
+        )
+        router.route("a", "c")
+        epochs["b"] += 1  # b's neighbourhood changed; the route's links did not
+        assert router.was_cached("a", "c")
+        assert (router.cache_hits, router.epoch_hits, router.revalidations) == (0, 0, 0)
+        # The peek left the stored epochs alone, so the lookup re-checks the
+        # links itself and only then refreshes them.
+        router.route("a", "c")
+        assert (router.epoch_hits, router.revalidations) == (0, 1)
+        router.route("a", "c")
+        assert (router.epoch_hits, router.revalidations) == (1, 1)
+        assert router.discoveries == 1
+
 
 def make_adhoc(**kwargs):
     scheduler = EventScheduler()
@@ -134,6 +152,54 @@ class TestAdHocNetwork:
         scheduler.clock.advance(20.0)  # mobile has walked 200 m
         assert not network.in_radio_range("base", "mobile")
         assert not network.is_connected()
+
+    def test_is_reachable_only_peeks_at_the_route_cache(self):
+        scheduler = EventScheduler()
+        network = AdHocWirelessNetwork(scheduler, radio_range=100.0)
+        placements = {
+            "a": Point(0, 0),
+            "b": Point(80, 0),
+            # c drifts away from b, so using the a-b-c route arms a
+            # link-break prediction; d walks into c's range at t = 1.
+            "c": WaypointMobility([Point(160, 0), Point(400, 0)], speed=1.0),
+            "d": WaypointMobility([Point(262, 0), Point(240, 0)], speed=1.0),
+        }
+        for host, placement in placements.items():
+            network.register(host, lambda m: None)
+            network.place_host(host, placement)
+        network.latency_for(Message(sender="a", recipient="c"))  # warm a-b-c
+        router = network.router
+        assert network.link_breaks_predicted == 1
+
+        def router_state():
+            return (
+                set(router._cache),
+                router.discoveries,
+                router.cache_hits,
+                router.epoch_hits,
+                router.revalidations,
+                network.link_breaks_predicted,
+                scheduler.pending,
+            )
+
+        scheduler.clock.advance(3.0)  # c's link set changed; a-b-c still holds
+        before = router_state()
+        assert network.is_reachable("a", "c")  # answered by the cached route
+        assert network.is_reachable("a", "d")  # no cached route: labels
+        assert network.is_reachable("d", "a")
+        assert router_state() == before
+        message = Message(sender="a", recipient="d")
+        per_hop = network.per_hop_overhead + message.size_bytes() / network.bytes_per_second
+        assert network.latency_for(message) == pytest.approx(
+            3 * per_hop + 3 * network.route_discovery_cost
+        )
+
+    def test_departed_sender_is_unreachable_despite_its_cached_route(self):
+        network, _, _ = make_adhoc(multi_hop=True)
+        network.latency_for(Message(sender="a", recipient="c"))  # caches a-b-c
+        network.unregister("a")
+        assert not network.is_reachable("a", "c")
+        assert not network.is_reachable("c", "a")
 
     def test_is_connected(self):
         network, _, _ = make_adhoc(multi_hop=True)
