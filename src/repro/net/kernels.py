@@ -188,6 +188,11 @@ class LegTable:
         self.valid_until[rows] = until
         self.fetched_at[rows] = time
 
+    def refresh(self, time: float) -> None:
+        """Bring every row to the leg its model reports at ``time``."""
+
+        self._refresh_stale(time, np.arange(len(self._models)))
+
     def positions_at(self, time: float, indices=None):
         """``(xs, ys)`` of the requested hosts at ``time`` (all by default).
 
@@ -515,6 +520,54 @@ class VectorGridIndex:
         :meth:`SpatialGridIndex.component_labels`)."""
 
         return self.neighbour_sets_and_labels(radius)[1]
+
+    def link_certificate(
+        self, speeds, radius: float, margin_fraction: float, needed: float
+    ) -> float:
+        """:meth:`SpatialGridIndex.link_certificate` with ``speeds`` an array
+        aligned with :attr:`ids`: the same float operations, so the same
+        answer bit for bit.
+
+        Query hosts go in growing chunks, so a certificate that cannot reach
+        ``needed`` is usually refuted by the first few dozen hosts' pairs.
+        """
+
+        top = float(speeds.max()) if len(speeds) else 0.0
+        if top == 0.0:
+            return math.inf
+        extent = float(max(np.abs(self.xs).max(), np.abs(self.ys).max()))
+        margin = margin_fraction * (radius + extent)
+        bound = (radius - margin) / (2.0 * top)
+        if bound <= needed:
+            return 0.0
+        size = len(self.ids)
+        start, chunk = 0, 8
+        while start < size:
+            hosts = np.arange(start, min(start + chunk, size), dtype=np.intp)
+            start += chunk
+            chunk *= 4
+            queries, candidates = self._candidate_pairs(
+                self._cell_x[hosts], self._cell_y[hosts], 2.0 * radius
+            )
+            queries = hosts[queries]
+            # Each unordered pair once (from its lower index), no self-pairs.
+            keep = queries < candidates
+            queries, candidates = queries[keep], candidates[keep]
+            closing = speeds[queries] + speeds[candidates]
+            moving = closing != 0.0
+            if not moving.any():
+                continue
+            queries, candidates = queries[moving], candidates[moving]
+            dx = self.xs[queries] - self.xs[candidates]
+            dy = self.ys[queries] - self.ys[candidates]
+            times = (
+                np.abs(np.sqrt(dx * dx + dy * dy) - radius) - margin
+            ) / closing[moving]
+            smallest = float(times.min())
+            if smallest <= needed:
+                return 0.0
+            bound = min(bound, smallest)
+        return bound
 
     def __repr__(self) -> str:
         return (

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..mobility.geometry import Point
 
@@ -156,6 +156,80 @@ class SpatialGridIndex:
         """Hosts within ``radius`` of ``host_id``, excluding ``host_id`` itself."""
 
         return self.near(self._positions[host_id], radius) - {host_id}
+
+    def candidate_pairs(self, radius: float) -> Iterator[tuple[str, str]]:
+        """Every unordered host pair whose cells lie within the scan range of
+        a ``radius`` query — a superset of the pairs within ``radius``.
+
+        Each pair comes out once: same-cell pairs, then one half-plane of
+        cell offsets.
+        """
+
+        reach = math.ceil(radius * _RADIUS_SLOP / self.cell_size)
+        offsets = [
+            (dx, dy)
+            for dx in range(reach + 1)
+            for dy in range(-reach, reach + 1)
+            if dx > 0 or dy > 0
+        ]
+        cells = self._cells
+        for (cx, cy), bucket in cells.items():
+            for index, host in enumerate(bucket):
+                for other in bucket[index + 1 :]:
+                    yield host, other
+            for dx, dy in offsets:
+                others = cells.get((cx + dx, cy + dy))
+                if others:
+                    for host in bucket:
+                        for other in others:
+                            yield host, other
+
+    def link_certificate(
+        self,
+        speeds: Mapping[str, float],
+        radius: float,
+        margin_fraction: float,
+        needed: float,
+    ) -> float:
+        """Seconds during which no pair of hosts can cross ``radius``, or
+        ``0.0`` once that is shown to be at most ``needed`` seconds.
+
+        ``speeds`` bounds each host's speed over that time.  Two hosts'
+        separation changes no faster than the sum of their speeds, so a
+        pair ``d`` apart keeps its side of the boundary for at least
+        ``(|d - radius| - margin) / (v_a + v_b)``.  The margin, a
+        ``margin_fraction`` of the radius plus the largest coordinate, stays
+        far above the rounding of positions and distances; a moving pair
+        within it of the boundary gets ``0.0``.  Pairs beyond the
+        ``2 * radius`` candidate cells are more than ``2 * radius`` apart,
+        so their slack exceeds the radius.  ``inf`` when nothing moves.
+        """
+
+        top = max(speeds.values(), default=0.0)
+        if top == 0.0:
+            return math.inf
+        positions = self._positions
+        extent = max(
+            max(map(abs, [point.x for point in positions.values()])),
+            max(map(abs, [point.y for point in positions.values()])),
+        )
+        margin = margin_fraction * (radius + extent)
+        bound = (radius - margin) / (2.0 * top)
+        if bound <= needed:
+            return 0.0
+        sqrt = math.sqrt
+        for host, other in self.candidate_pairs(2.0 * radius):
+            closing = speeds[host] + speeds[other]
+            if closing == 0.0:
+                continue
+            a, b = positions[host], positions[other]
+            dx = a.x - b.x
+            dy = a.y - b.y
+            time = (abs(sqrt(dx * dx + dy * dy) - radius) - margin) / closing
+            if time <= needed:
+                return 0.0
+            bound = min(bound, time)
+        return bound
 
     # -- connectivity -------------------------------------------------------
     def connected_components(self, radius: float) -> list[frozenset[str]]:

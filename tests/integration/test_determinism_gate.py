@@ -12,8 +12,15 @@ under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=12345``, and
 interpreter whose 2-worker ``TrialRunner`` starts its workers with
 ``spawn`` (nothing inherited from the parent process).
 
+A second digest covers three 100-host random-waypoint multi-hop trials
+shaped like the ``adhoc_mobile`` benchmark workload.  The network's link
+certificates expire five times across them, so the digest pins the
+certified ticks, the real advances between them and the hand-over from one
+to the other.
+
 A change that alters a deterministic trial result on purpose updates
-``PINNED_DIGEST`` and says why in its description.
+``PINNED_DIGEST`` (or ``PINNED_MOBILE_DIGEST``) and says why in its
+description.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ from repro.sim.randomness import derive_rng
 
 SEED = 20090514
 PINNED_DIGEST = "a1954217508079891e3cadcb25c3fed62dc4533e7b7d220ee5ca59ff0bb14092"
+PINNED_MOBILE_DIGEST = (
+    "f8c16a4de0e10cedd5ba4aa4bf8c6a1dd32c84802d0dfb1c777f0a0d9b8a8b42"
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -49,6 +59,21 @@ def sweep():
         "adhoc-50",
         num_tasks=50,
         num_hosts=50,
+        path_lengths=(4,),
+        runs=3,
+        seed=SEED,
+        network="adhoc-multihop",
+        mobility="waypoint",
+    )
+
+
+def mobile_sweep():
+    """Three 100-host random-waypoint multi-hop trials, as runner tasks."""
+
+    return sweep_tasks(
+        "adhoc-100",
+        num_tasks=50,
+        num_hosts=100,
         path_lengths=(4,),
         runs=3,
         seed=SEED,
@@ -90,9 +115,23 @@ def digest(runner: TrialRunner) -> str:
     return hasher.hexdigest()
 
 
+def mobile_digest(runner: TrialRunner) -> str:
+    """SHA-256 over the 100-host trials' deterministic results, in order."""
+
+    hasher = hashlib.sha256()
+    for outcome in runner.run(mobile_sweep()):
+        hasher.update(repr(outcome.result).encode())
+    return hasher.hexdigest()
+
+
 def test_trial_results_match_pinned_digest():
     runner = TrialRunner(parallel=False, timing="sim")
     assert digest(runner) == PINNED_DIGEST
+
+
+def test_mobile_trials_match_pinned_digest():
+    runner = TrialRunner(parallel=False, timing="sim")
+    assert mobile_digest(runner) == PINNED_MOBILE_DIGEST
 
 
 # TrialRunner's pool uses the default start method, so the fresh interpreter
@@ -101,11 +140,12 @@ SPAWNED_RUN = """
 import multiprocessing
 
 from repro.experiments.runner import TrialRunner
-from tests.integration.test_determinism_gate import digest
+from tests.integration.test_determinism_gate import digest, mobile_digest
 
 multiprocessing.set_start_method("spawn")
 with TrialRunner(max_workers=2, parallel=True, timing="sim") as runner:
     print(digest(runner))
+    print(mobile_digest(runner))
     print(runner.parallel_batches, runner.sequential_fallbacks)
 """
 
@@ -124,7 +164,8 @@ def test_spawned_pool_matches_pinned_digest():
         timeout=300,
     )
     assert completed.returncode == 0, completed.stderr
-    spawned_digest, counters = completed.stdout.split("\n")[:2]
+    spawned_digest, spawned_mobile_digest, counters = completed.stdout.split("\n")[:3]
     parallel_batches, fallbacks = map(int, counters.split())
     assert parallel_batches > 0 and fallbacks == 0  # the pool really ran
     assert spawned_digest == PINNED_DIGEST
+    assert spawned_mobile_digest == PINNED_MOBILE_DIGEST

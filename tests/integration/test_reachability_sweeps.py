@@ -10,6 +10,10 @@ route cache first, nearly every snapshot would sweep again.
 
 The sweeps are counted by wrapping the grids' labelling entry points from
 this test, on the NumPy kernels and on the scalar paths.
+
+The same trials also pin the link certificate: over a trial's few tens of
+simulated milliseconds no radio link can change, so most ticks only move
+the snapshot's clock instead of advancing it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ def test_mobile_trials_rarely_sweep_the_whole_fleet(monkeypatch, geometry):
     if geometry == "scalar":
         monkeypatch.setattr(kernels, "np", None)
     sweeps = 0
-    networks: list[AdHocWirelessNetwork] = []
 
     def counting(sweep):
         def wrapper(self, radius):
@@ -50,6 +53,27 @@ def test_mobile_trials_rarely_sweep_the_whole_fleet(monkeypatch, geometry):
             "neighbour_sets_and_labels",
             counting(kernels.VectorGridIndex.neighbour_sets_and_labels),
         )
+    networks = run_mobile_trials(monkeypatch)
+    snapshots = sum(network.snapshots_built for network in networks)
+    assert snapshots > 0
+    assert sweeps * 10 <= snapshots, (sweeps, snapshots)
+
+
+@pytest.mark.parametrize("geometry", ["platform", "scalar"])
+def test_mobile_trials_mostly_tick_on_certificates(monkeypatch, geometry):
+    if geometry == "scalar":
+        monkeypatch.setattr(kernels, "np", None)
+    networks = run_mobile_trials(monkeypatch)
+    snapshots = sum(network.snapshots_built for network in networks)
+    certified = sum(network.certified_ticks for network in networks)
+    assert snapshots > 0
+    assert certified * 2 >= snapshots, (certified, snapshots)
+
+
+def run_mobile_trials(monkeypatch) -> list[AdHocWirelessNetwork]:
+    """Three 40-host random-waypoint multi-hop trials; returns their networks."""
+
+    networks: list[AdHocWirelessNetwork] = []
     network_init = AdHocWirelessNetwork.__init__
 
     def recording_init(self, *args, **kwargs):
@@ -72,6 +96,4 @@ def test_mobile_trials_rarely_sweep_the_whole_fleet(monkeypatch, geometry):
         assert execute_trial(task, timing="sim").result is not None
     assert len(networks) == len(tasks)
     assert all(network.multi_hop for network in networks)
-    snapshots = sum(network.snapshots_built for network in networks)
-    assert snapshots > 0
-    assert sweeps * 10 <= snapshots, (sweeps, snapshots)
+    return networks

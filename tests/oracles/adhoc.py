@@ -1,9 +1,9 @@
 """Reference model of the ad hoc wireless network.
 
 :class:`~repro.net.adhoc.AdHocWirelessNetwork` answers geometry from a grid
-snapshot it advances incrementally across ticks, arms link-break events
-ahead of time, and runs its sweeps through NumPy kernels when it can.  This
-model does none of that:
+snapshot it advances incrementally across ticks (and not at all while a link
+certificate holds), arms link-break events ahead of time, and runs its
+sweeps through NumPy kernels when it can.  This model does none of that:
 
 * every query evaluates each host's position from its mobility model;
 * neighbours come from an O(n²) ``distance <= radio_range`` scan;

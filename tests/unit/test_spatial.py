@@ -329,6 +329,66 @@ class TestIncrementalMaintenance:
         assert grid.near(Point(255, 255), 20.0) == {"a", "b"}
 
 
+class TestLinkCertificates:
+    """Ticks inside a link certificate only move the snapshot's clock."""
+
+    def test_departed_host_is_compared_with_positions_at_now(self):
+        """A placed but unregistered host is outside the grid and outside the
+        certificate: its links must be taken against where the grid hosts
+        are now, not where they were when the certificate began."""
+
+        networks = []
+        for network_class in (AdHocWirelessNetwork, ReferenceAdHocNetwork):
+            scheduler = EventScheduler()
+            network = network_class(scheduler, radio_range=100.0)
+            network.register("a", lambda m: None)
+            network.place_host("a", Point(0, 0))
+            network.register("b", lambda m: None)
+            network.place_host(
+                "b", WaypointMobility([Point(300, 0), Point(600, 0)], speed=2.0)
+            )
+            network.register("w", lambda m: None)
+            network.place_host("w", Point(410, 0))
+            network.unregister("w")  # departed, still placed
+            networks.append((network, scheduler))
+        (network, scheduler), (oracle, oracle_scheduler) = networks
+        network.neighbours_of("a")
+        scheduler.clock.advance_to(1.0)  # b at x=302: advance, certificate
+        network.neighbours_of("a")
+        for instant in (10.0, 12.0, 60.0, 100.0, 110.0):
+            scheduler.clock.advance_to(instant)
+            oracle_scheduler.clock.advance_to(instant)
+            certified = network.certified_ticks
+            network.neighbours_of("a")
+            if instant == 10.0:
+                # b (x=320) is 90 m from w now but was 108 m away when the
+                # certificate began, and this tick is certified.
+                assert network.certified_ticks == certified + 1
+            for host, other in (("w", "b"), ("b", "w"), ("w", "a")):
+                assert network.in_radio_range(host, other) == oracle.in_radio_range(
+                    host, other
+                ), (instant, host, other)
+            assert network.neighbours_of("w") == oracle.neighbours_of("w"), instant
+            assert network.position_of("b") == oracle.position_of("b")
+
+    def test_certified_tick_keeps_memos_and_moves_only_the_clock(self):
+        network, scheduler = make_network()
+        network.register("walker", lambda m: None)
+        network.place_host(
+            "walker", WaypointMobility([Point(0, 400), Point(400, 400)], speed=1.0)
+        )
+        network.neighbours_of("a")
+        scheduler.clock.advance(1.0)
+        network.neighbours_of("a")  # the advance that takes the certificate
+        reevaluated = network.hosts_reevaluated
+        memo = network.neighbours_of("b")
+        scheduler.clock.advance(1.0)
+        assert network.neighbours_of("b") is memo
+        assert network.certified_ticks == 1
+        assert network.hosts_reevaluated == reevaluated
+        assert network.position_of("walker") == Point(2.0, 400.0)
+
+
 class TestLinkCrossingTime:
     """Closed-form boundary-crossing instants for linearly moving points."""
 
